@@ -12,6 +12,16 @@ still fit into the remaining positions.  That closure bound subsumes the
 position bound "an entry of size c cannot sit later than position
 L - 2^c + 1".
 
+With forward checking on, the first engine also keeps a failure memo
+(nogood recording): the state at a branch point is the branch index,
+the number of colors introduced so far, the feasible-mask bitset of
+every remaining branch position and, in saturated mode, the pending
+submask set.  Everything the rest of the search reads is a function of
+that state, so a state whose subtree was exhausted once is skipped when
+it recurs.  Only exhausted subtrees are recorded, never budget cut-offs,
+and the search order is unchanged, so certificates are identical with
+and without the memo.
+
 The second engine is a classical branch-and-bound vertex coloring with
 saturation-degree ordering, a greedy clique precoloring, and the
 first-use color symmetry cap.  The two engines share no code paths, so
@@ -42,6 +52,7 @@ from .sequences import (
 )
 
 _SATURATED_GROUND_CAP = 14  # closure bitsets take 4^k bits total
+_MEMO_CAP = 1 << 20  # failure-memo entries; at the cap lookups go on, inserts stop
 
 
 @dataclass(frozen=True)
@@ -156,6 +167,16 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     it enables counting prunes on the downward closure of the submasks
     still owed to the suffix.  A "yes" re-verifies its certificate;
     "no" is exhaustive.
+
+    When forward checking is on (k <= 12) a failure memo records every
+    exhausted branch point under one int key packing the branch index,
+    the first-use color count, feasible[q] for each remaining branch
+    position q and, in saturated mode, the pending set as a mask bitset.
+    The key is sound because with forward checking `entries` is read
+    only to build the final certificate, and `avail` and the window
+    tests are functions of `feasible` at positions after the current
+    one.  A memo hit counts as a prune and costs no node; at _MEMO_CAP
+    entries the memo stops growing but is still consulted.
     """
     if not isinstance(n_points, int) or n_points < 2:
         raise InvalidParameterError(f"ground interval needs N >= 2, got {n_points!r}")
@@ -229,6 +250,25 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     clock = _Clock(budget)
     entries = [0] * (n_points + 1)
     pending: set[int] = set()
+    n_branch = len(branch_positions)
+    memo: set[int] = set()
+
+    def memo_key(bi: int, used: int) -> int:
+        """Pack the search state at branch index bi into one int.
+
+        Fixed-width fields (one per remaining position, plus pending),
+        with bi and the color count in the low digits so keys of
+        different depths never collide.
+        """
+        key = 0
+        for q in branch_positions[bi:]:
+            key = (key << n_masks) | feasible[q]
+        if saturated_only:
+            pending_bits = 0
+            for b in pending:
+                pending_bits |= 1 << b
+            key = (key << n_masks) | pending_bits
+        return (key * (k + 1) + used.bit_length()) * n_branch + bi
 
     def undo_fc(trail):
         for j, old, removed in reversed(trail):
@@ -248,8 +288,14 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         relabeling canonicalization it is always a prefix [1, t], and a
         candidate may only bring in the next colors in order.
         """
-        if bi == len(branch_positions):
+        if bi == n_branch:
             return True
+        key = None
+        if use_fc:
+            key = memo_key(bi, used)
+            if key in memo:
+                clock.prunes += 1
+                return False
         p = branch_positions[bi]
         for m in masks_desc:
             if not clock.tick():
@@ -333,6 +379,8 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
                 return True
             if sub is None:
                 return None
+        if key is not None and len(memo) < _MEMO_CAP:
+            memo.add(key)
         return False
 
     import sys

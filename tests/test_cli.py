@@ -78,6 +78,15 @@ def test_verify_pass_exit_and_report(capsys, tmp_path):
     assert rep["status"] == "pass" and rep["theorem"] == "3"
 
 
+def test_verify_w4_refutation_is_conclusive(capsys, tmp_path):
+    target = tmp_path / "rep4.json"
+    code, out, _ = run(capsys, "verify", "3", "--n", "4", "--max-nodes", "2000000",
+                       "--out", str(target))
+    assert code == 0
+    cert = json.loads(target.read_text())["certificates"]["lower:saturated-refutation"]
+    assert cert["k"] == 4 and cert["conclusive"] is True
+
+
 def test_verify_each_theorem(capsys):
     assert run(capsys, "verify", "1", "--n", "2")[0] == 0
     assert run(capsys, "verify", "2", "--n", "2")[0] == 0

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcrit import solvers
 from shiftcrit import (
     ConstructionError,
     InvalidParameterError,
     SearchBudget,
     SubsetSequence,
+    Vertex,
     build_shift_graph,
     chromatic_number,
     critical_core,
@@ -21,6 +23,12 @@ from shiftcrit import (
 from oracles import brute_chromatic, brute_k_colorable
 
 TIGHT = SearchBudget(max_nodes=2_000_000, max_seconds=60.0)
+
+
+def capped_memo_run(cap, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_MEMO_CAP", cap)
+        return k_colorable_via_sequences(*args, **kwargs)
 
 
 def pairs_of(view):
@@ -116,6 +124,60 @@ def test_saturated_only_agrees_with_plain():
         assert plain.decision == sat.decision
 
 
+def test_memo_refutes_w4_in_both_modes():
+    core4 = critical_core(4)
+    for saturated in (True, False):
+        r = k_colorable_via_sequences(core4.n_points, 4, core4,
+                                      SearchBudget(max_nodes=200_000, max_seconds=60),
+                                      saturated_only=saturated)
+        assert r.decision == "no", saturated
+        assert r.refutation_record()["conclusive"] is True
+
+
+def test_memo_refutes_shift_graph_17_at_k4():
+    assert k_colorable_via_sequences(17, 4, build_shift_graph(17), TIGHT).decision == "no"
+
+
+def test_w4_is_5_colorable_with_good_certificate():
+    core4 = critical_core(4)
+    r = k_colorable_via_sequences(core4.n_points, 5, core4, TIGHT)
+    assert r.decision == "yes"
+    assert is_good(r.certificate_sequence, core4)
+
+
+def test_memo_keeps_yes_certificate_and_cuts_nodes():
+    core4 = critical_core(4)
+    g = core4.graph()
+    sub = g.induced([v for v in core4.members if v != Vertex(2, 7)])
+    with_memo = k_colorable_via_sequences(17, 4, sub, TIGHT)
+    without = capped_memo_run(0, 17, 4, sub, TIGHT)
+    assert with_memo.decision == without.decision == "yes"
+    assert with_memo.certificate_sequence == without.certificate_sequence
+    assert with_memo.certificate_coloring == without.certificate_coloring
+    assert with_memo.nodes * 10 < without.nodes
+
+
+def test_memo_at_cap_keeps_refuting():
+    # W(4) needs about 7 k entries; at a 3 k cap inserts stop, lookups go on
+    core4 = critical_core(4)
+    budget = SearchBudget(max_nodes=2_000_000, max_seconds=60)
+    full = k_colorable_via_sequences(17, 4, core4, budget, saturated_only=False)
+    capped = capped_memo_run(3000, 17, 4, core4, budget, saturated_only=False)
+    assert full.decision == capped.decision == "no"
+    assert full.nodes < capped.nodes
+
+
+def test_sequence_engine_colors_every_core_deletion():
+    for n in (3, 4):
+        core = critical_core(n)
+        g = core.graph()
+        for v in core.members:
+            sub = g.induced([w for w in core.members if w != v])
+            r = k_colorable_via_sequences(core.n_points, n, sub, TIGHT)
+            assert r.decision == "yes", v
+            assert is_good(r.certificate_sequence, sub)
+
+
 def test_greedy_coloring_is_proper():
     for n_points in (5, 9, 17):
         g = build_shift_graph(n_points)
@@ -147,6 +209,29 @@ def test_engines_agree_with_brute_force(case, k):
         assert proper_coloring_violation(r_seq.certificate_coloring, sub) is None
         assert proper_coloring_violation(r_bb.certificate_coloring, sub) is None
         assert is_good(r_seq.certificate_sequence, sub)
+
+
+@st.composite
+def dense_instances(draw):
+    n_points = draw(st.integers(5, 12))
+    g = build_shift_graph(n_points)
+    everything = g.vertex_list()
+    dropped = set(draw(st.lists(st.sampled_from(everything), unique=True,
+                                max_size=2 * len(everything) // 3)))
+    return g, [v for v in everything if v not in dropped]
+
+
+@given(dense_instances(), st.integers(2, 4))
+@settings(max_examples=80)
+def test_memo_is_invisible_except_in_counts(case, k):
+    g, verts = case
+    sub = induced_subgraph(g, verts)
+    with_memo = k_colorable_via_sequences(g.n_points, k, sub, TIGHT)
+    without = capped_memo_run(0, g.n_points, k, sub, TIGHT)
+    r_bb = k_colorable_bb(sub, k, TIGHT)
+    assert with_memo.decision == without.decision == r_bb.decision
+    assert with_memo.certificate_sequence == without.certificate_sequence
+    assert with_memo.nodes <= without.nodes
 
 
 @given(small_instances())
