@@ -7,12 +7,16 @@ verification pipeline), diagram (render the core as SVG).
 Exit codes: 0 success or pass, 1 verification failure, 2 usage or I/O
 error, 3 inconclusive within budget.  SHIFTCRIT_MAX_SECONDS overrides
 the default time budget; explicit flags beat the environment.
+
+Every output is streamed to stdout or to its --out file chunk by chunk,
+and an --out file appears only once it is complete.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .diagram import DiagramSpec, render_svg
@@ -22,6 +26,9 @@ from .graphs import (
     as_vertex,
     build_shift_graph,
     critical_core,
+    dimacs_chunks,
+    graph_json_chunks,
+    # not called here: the benchmark's tracer wraps these names in this module
     graph_to_json_dict,
     to_dimacs,
 )
@@ -39,6 +46,9 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 _STATUS_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
+
+# report and certificate JSON: the same bytes as json.dumps(obj, indent=2, sort_keys=True)
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _budget(args) -> SearchBudget:
@@ -59,16 +69,46 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(**kwargs)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write_chunks(chunks, out: str | None) -> None:
+    """Stream text chunks to stdout, or atomically to the file `out`.
+
+    A new or regular file is written under a temporary name in its
+    directory and renamed onto `out` only once every chunk is written, so
+    a failure leaves any earlier `out` untouched and no partial file
+    behind.  Anything else at `out` (a symlink such as /dev/stdout, a
+    device, a pipe) is written through directly, as a rename would
+    replace it.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        direct = not stat.S_ISREG(os.lstat(out).st_mode)
+    except FileNotFoundError:
+        direct = False
+    if direct:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        return
+    head, tail = os.path.split(out)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    _write_chunks((text,), out)
+
+
+def _json_chunks(obj):
+    yield from _JSON.iterencode(obj)
+    yield "\n"
 
 
 def _parse_vertex(text: str):
@@ -84,15 +124,13 @@ def _parse_vertex(text: str):
 
 def cmd_gen(args) -> int:
     g = build_shift_graph(args.n_points)
-    if args.format == "dimacs":
-        _emit(to_dimacs(g), args.out)
-    else:
-        _emit(_json_text(graph_to_json_dict(g)), args.out)
+    chunks = dimacs_chunks(g) if args.format == "dimacs" else graph_json_chunks(g)
+    _write_chunks(chunks, args.out)
     return EXIT_OK
 
 
 def cmd_core(args) -> int:
-    _emit(_json_text(critical_core(args.n).to_json_dict()), args.out)
+    _write_chunks(_json_chunks(critical_core(args.n).to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -116,7 +154,7 @@ def cmd_chi(args) -> int:
         return EXIT_INCONCLUSIVE
     print(f"chi = {res.chi}")
     if args.out is not None:
-        _emit(_json_text(res.to_json_dict()), args.out)
+        _write_chunks(_json_chunks(res.to_json_dict()), args.out)
         print(f"certificates: {args.out}")
     return EXIT_OK
 
@@ -145,7 +183,7 @@ def cmd_verify(args) -> int:
     for entry in report.skipped:
         print(f"  skipped: {entry['claim']}")
     if args.out is not None:
-        _emit(_json_text(report.to_json_dict()), args.out)
+        _write_chunks(_json_chunks(report.to_json_dict()), args.out)
         print(f"report: {args.out}")
     return _STATUS_EXIT[report.status]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, InvalidVertexError
@@ -116,6 +117,13 @@ class ShiftGraph:
         return (v.x - 1) + (self.n_points - v.y)
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        """Each edge once as (u, w), u before w in vertex_list() order.
+
+        Edges come in ascending (id(u), id(w)) order, where id is the
+        1-based position in vertex_list(): rows follow the vertex order,
+        and the partners w = (u.y, z) of a row have z ascending.  The
+        streaming exports rely on this order.
+        """
         for v in self.vertices():
             for z in range(v.y + 1, self.n_points + 1):
                 yield v, Vertex(v.y, z)
@@ -177,6 +185,7 @@ class InducedSubgraph:
         return len(self.neighbors(v))
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        """Each edge once as (u, w), in ascending (id(u), id(w)) order, as ShiftGraph.edges."""
         for v in self.vertices:
             for w in self._by_first.get(v.y, ()):
                 yield v, w
@@ -282,17 +291,93 @@ def is_triangle_free(view) -> bool:
     return all(not nbrs[u] & nbrs[w] for u, w in edges)
 
 
+# text pieces joined into one chunk by the streaming serialisers
+_CHUNK_PIECES = 4096
+
+
+def _joined(pieces) -> Iterator[str]:
+    """Join an iterator of text pieces into chunks of _CHUNK_PIECES pieces."""
+    it = iter(pieces)
+    while batch := list(islice(it, _CHUNK_PIECES)):
+        yield "".join(batch)
+
+
+def _edge_ids(view, ids: dict, edge_count: int) -> Iterator[tuple[int, int]]:
+    """Id pairs (i, j), i < j, of view.edges(), checked to arrive in ascending order.
+
+    Streaming writes the edges in the order the view yields them, so a view
+    that breaks the order, or yields other than `edge_count` edges, raises
+    ValueError instead of producing unsorted or inconsistent output.
+    """
+    pi = pj = count = 0
+    for u, w in view.edges():
+        i, j = ids[u], ids[w]
+        if i >= j or i < pi or (i == pi and j <= pj):
+            raise ValueError(f"edges out of ascending id order at {u}-{w}")
+        pi, pj = i, j
+        count += 1
+        yield i, j
+    if count != edge_count:
+        raise ValueError(f"edges() yielded {count} edges, edge_count() says {edge_count}")
+
+
+def dimacs_chunks(view) -> Iterator[str]:
+    """DIMACS edge-format text for a graph view, with a vertex id legend, in chunks.
+
+    Memory stays O(vertices): edges are written as view.edges() yields them.
+    """
+    verts = view.vertex_list()
+    ids = {v: i for i, v in enumerate(verts, 1)}
+    m = view.edge_count()
+
+    def lines():
+        yield "c shift graph: vertices are ordered pairs, (x,y) ~ (y,z)\n"
+        for i, v in enumerate(verts, 1):
+            yield f"c vertex {i} = ({v.x},{v.y})\n"
+        yield f"p edge {len(verts)} {m}\n"
+        for i, j in _edge_ids(view, ids, m):
+            yield f"e {i} {j}\n"
+
+    return _joined(lines())
+
+
 def to_dimacs(view) -> str:
     """DIMACS edge-format text for a graph view, with a vertex id legend."""
+    return "".join(dimacs_chunks(view))
+
+
+def _json_list(items) -> Iterator[str]:
+    """A list at depth 1 of indent=2 JSON, from its items already indented to depth 2."""
+    sep = "[\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
+def graph_json_chunks(view) -> Iterator[str]:
+    """JSON text of graph_to_json_dict(view) in chunks, as json.dumps writes it.
+
+    The bytes equal json.dumps(graph_to_json_dict(view), indent=2,
+    sort_keys=True) plus a final newline, but memory stays O(vertices):
+    edges are written as view.edges() yields them.
+    """
     verts = view.vertex_list()
-    ids = {v: i + 1 for i, v in enumerate(verts)}
-    lines = ["c shift graph: vertices are ordered pairs, (x,y) ~ (y,z)"]
-    lines.extend(f"c vertex {ids[v]} = ({v.x},{v.y})" for v in verts)
-    edges = sorted((ids[u], ids[w]) if ids[u] < ids[w] else (ids[w], ids[u])
-                   for u, w in view.edges())
-    lines.append(f"p edge {len(verts)} {len(edges)}")
-    lines.extend(f"e {i} {j}" for i, j in edges)
-    return "\n".join(lines) + "\n"
+    ids = {v: i for i, v in enumerate(verts, 1)}
+    m = view.edge_count()
+
+    def pieces():
+        yield f'{{\n  "edge_count": {m},\n  "edges": '
+        yield from _json_list(f"    [\n      {i},\n      {j}\n    ]"
+                              for i, j in _edge_ids(view, ids, m))
+        yield (f',\n  "n_points": {view.n_points},\n  "vertex_count": {len(verts)},'
+               '\n  "vertices": ')
+        yield from _json_list(
+            f'    {{\n      "id": {i},\n      "x": {v.x},\n      "y": {v.y}\n    }}'
+            for i, v in enumerate(verts, 1))
+        yield "\n}\n"
+
+    return _joined(pieces())
 
 
 def graph_to_json_dict(view) -> dict:

@@ -62,3 +62,16 @@ def brute_chromatic(vertices, edges):
     while not brute_k_colorable(vertices, edges, k):
         k += 1
     return k
+
+
+def sorted_dimacs(view):
+    # the in-memory exporter: collect every edge, normalise, sort, then join
+    verts = view.vertex_list()
+    ids = {v: i + 1 for i, v in enumerate(verts)}
+    lines = ["c shift graph: vertices are ordered pairs, (x,y) ~ (y,z)"]
+    lines.extend(f"c vertex {ids[v]} = ({v.x},{v.y})" for v in verts)
+    edges = sorted((ids[u], ids[w]) if ids[u] < ids[w] else (ids[w], ids[u])
+                   for u, w in view.edges())
+    lines.append(f"p edge {len(verts)} {len(edges)}")
+    lines.extend(f"e {i} {j}" for i, j in edges)
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,23 @@
+import ast
+import importlib
+import inspect
 import json
+import os
+import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from shiftcrit import cli
 from shiftcrit.cli import main
+from shiftcrit.graphs import build_shift_graph, critical_core, graph_to_json_dict
+from shiftcrit.solvers import chromatic_number
+from shiftcrit.verify import verify_criticality
+
+from oracles import sorted_dimacs
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
 def run(capsys, *argv):
@@ -136,3 +150,83 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])
     assert exc.value.code == 2
+
+
+def dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_stdout_and_out_file_bytes_match_in_memory_encoding(capsys, tmp_path):
+    cases = ((("gen", "9"), sorted_dimacs(build_shift_graph(9))),
+             (("gen", "9", "--format", "json"), dumps(graph_to_json_dict(build_shift_graph(9)))),
+             (("core", "3"), dumps(critical_core(3).to_json_dict())))
+    for argv, want in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target))[0] == 0
+        assert target.read_bytes() == want.encode("utf-8")
+    # chi and verify print a summary to stdout and the JSON only to --out
+    cases = ((("chi", "5"), chromatic_number(build_shift_graph(5))),
+             (("verify", "2", "--n", "2"), verify_criticality(2)))
+    for argv, result in cases:
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target))[0] == 0
+        assert target.read_bytes() == dumps(result.to_json_dict()).encode("utf-8")
+
+
+def failing_after_first_chunk(exc):
+    def chunks(view):
+        yield "{\n"
+        raise exc
+    return chunks
+
+
+def test_failed_write_leaves_no_partial_out_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "g.json"
+    target.write_text("earlier\n")
+    monkeypatch.setattr(cli, "graph_json_chunks", failing_after_first_chunk(OSError("disk full")))
+    code, _, err = run(capsys, "gen", "5", "--format", "json", "--out", str(target))
+    assert code == 2 and "disk full" in err
+    assert os.listdir(tmp_path) == ["g.json"] and target.read_text() == "earlier\n"
+    target.unlink()
+    monkeypatch.setattr(cli, "graph_json_chunks", failing_after_first_chunk(RuntimeError("bug")))
+    with pytest.raises(RuntimeError):
+        main(["gen", "5", "--format", "json", "--out", str(target)])
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    real = tmp_path / "real.col"
+    real.write_text("earlier\n")
+    link = tmp_path / "link.col"
+    link.symlink_to(real)
+    assert run(capsys, "gen", "5", "--out", str(link))[0] == 0
+    assert link.is_symlink() and real.read_text() == sorted_dimacs(build_shift_graph(5))
+    assert sorted(os.listdir(tmp_path)) == ["link.col", "real.col"]
+
+
+@pytest.mark.parametrize("fmt", ("dimacs", "json"))
+def test_gen_129_streams_in_bounded_memory(capsys, tmp_path, fmt):
+    # 349,504 edges; holding them, as an in-memory export does, peaks above 50 MB
+    target = tmp_path / "g129"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "129", "--format", fmt, "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and target.stat().st_size > 4_000_000
+    assert peak < 4 * 2 ** 20
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
+    assert len(wrapped) > 30
+    for modname, attr, _ in wrapped:
+        assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+    # the tracer counts the bytes of _emit's first argument
+    assert list(inspect.signature(cli._emit).parameters) == ["text", "out"]

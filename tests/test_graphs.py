@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from shiftcrit import (
     neighbors,
     to_dimacs,
 )
+from shiftcrit.graphs import dimacs_chunks, graph_json_chunks, graph_to_json_dict
 
 from oracles import (
     brute_adjacent,
@@ -24,6 +26,7 @@ from oracles import (
     brute_edges,
     brute_intervals,
     brute_vertices,
+    sorted_dimacs,
 )
 
 
@@ -182,6 +185,74 @@ def test_dimacs_format():
     assert len(es) == 10
     assert all(int(a) < int(b) for _, a, b in (line.split() for line in es))
     assert to_dimacs(build_shift_graph(3)).splitlines()[-1] == "e 1 3"
+
+
+def export_views():
+    for n_points in range(2, 21):
+        yield build_shift_graph(n_points)
+    for n in (2, 3, 4):
+        yield critical_core(n).induced()
+    yield induced_subgraph(build_shift_graph(6), [(1, 2), (1, 3), (4, 5), (4, 6)])
+    yield induced_subgraph(build_shift_graph(6), [])
+
+
+def test_streamed_json_matches_json_dumps():
+    for view in export_views():
+        want = json.dumps(graph_to_json_dict(view), indent=2, sort_keys=True) + "\n"
+        assert "".join(graph_json_chunks(view)) == want
+
+
+def test_streamed_dimacs_matches_sorted_oracle():
+    for view in export_views():
+        assert to_dimacs(view) == sorted_dimacs(view)
+    chunks = list(dimacs_chunks(build_shift_graph(40)))
+    assert len(chunks) > 1 and "".join(chunks) == sorted_dimacs(build_shift_graph(40))
+
+
+@given(st.integers(2, 12), st.data())
+def test_edges_ascend_in_vertex_id_order(n_points, data):
+    g = build_shift_graph(n_points)
+    keep = data.draw(st.lists(st.sampled_from(g.vertex_list()), unique=True))
+    for view in (g, induced_subgraph(g, keep)):
+        ids = {v: i for i, v in enumerate(view.vertex_list())}
+        pairs = [(ids[u], ids[w]) for u, w in view.edges()]
+        assert all(i < j for i, j in pairs)
+        assert pairs == sorted(set(pairs))
+        assert len(pairs) == view.edge_count()
+
+
+class OrderedFake:
+    """A view whose edges() lists its edges in the given order."""
+
+    n_points = 4
+
+    def __init__(self, edges, edge_count=None):
+        self._edges = edges
+        self._count = len(edges) if edge_count is None else edge_count
+
+    def vertex_list(self):
+        return (Vertex(1, 2), Vertex(2, 3), Vertex(2, 4), Vertex(3, 4))
+
+    def edges(self):
+        return iter(self._edges)
+
+    def edge_count(self):
+        return self._count
+
+
+def test_streaming_rejects_out_of_order_or_miscounted_edges():
+    a, b, c, d = OrderedFake((), 0).vertex_list()
+    good = [(a, b), (a, c), (b, d)]
+    for export in (to_dimacs, lambda v: "".join(graph_json_chunks(v))):
+        export(OrderedFake(good))
+        for bad in ([(a, c), (a, b), (b, d)],   # descending second id
+                    [(b, d), (a, b)],           # descending first id
+                    [(b, a), (b, d)],           # pair written backwards
+                    [(a, b), (a, b)]):          # repeated edge
+            with pytest.raises(ValueError):
+                export(OrderedFake(bad))
+        with pytest.raises(ValueError):
+            export(OrderedFake(good, edge_count=2))
 
 
 def test_bad_parameters():
