@@ -25,6 +25,7 @@ from .graphs import (
     ShiftGraph,
     as_vertex,
     build_shift_graph,
+    core_json_chunks,
     critical_core,
     dimacs_chunks,
     graph_json_chunks,
@@ -130,7 +131,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_core(args) -> int:
-    _write_chunks(_json_chunks(critical_core(args.n).to_json_dict()), args.out)
+    _write_chunks(core_json_chunks(critical_core(args.n)), args.out)
     return EXIT_OK
 
 
@@ -143,9 +144,9 @@ def cmd_chi(args) -> int:
         view = build_shift_graph(args.n_points)
     if args.delete is not None:
         v = _parse_vertex(args.delete)
-        keep = [w for w in view.vertex_list() if w != v]
-        if len(keep) == len(view.vertex_list()):
+        if not view.has_vertex(v):
             raise InvalidVertexError(f"vertex {v} is not in the target graph")
+        keep = [w for w in view.vertex_list() if w != v]
         parent = view if isinstance(view, ShiftGraph) else view.parent
         view = parent.induced(keep)
     res = chromatic_number(view, _budget(args))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -193,30 +194,57 @@ class InducedSubgraph:
 
 @dataclass(frozen=True)
 class CriticalCore:
-    """The critical vertex set W of the shift graph on [1, 2^n + 1]."""
+    """The critical vertex set W of the shift graph on [1, 2^n + 1].
+
+    Membership is arithmetic: (x, y) is in W iff y <= reach(x).  The
+    member tuple and set are built only when first asked for.
+    """
 
     n: int
     intervals: tuple[Interval, ...]
-    members: tuple[Vertex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
 
     @property
     def n_points(self) -> int:
         return 2 ** self.n + 1
+
+    def reach(self, x: int) -> int:
+        """max{hi(I_l) : x in I_l}, or 0 if no interval covers x.
+
+        Both bounds of I_l ascend with l, so the largest hi belongs to
+        the largest l with 2^l <= x, and that I_l covers x: for l < n,
+        hi(I_l) - (2^(l+1) - 1) = (2^l - 1)(2^(n-l) - 2) + 1 > 0, and
+        hi(I_n) = 2^n + 1.
+        """
+        if not 1 <= x <= self.n_points:
+            return 0
+        return self.intervals[x.bit_length() - 1].hi
+
+    def iter_members(self) -> Iterator[Vertex]:
+        """The members in ascending (x, y) order, generated from reach()."""
+        for x in range(1, self.n_points + 1):
+            for y in range(x + 1, self.reach(x) + 1):
+                yield Vertex(x, y)
+
+    @cached_property
+    def members(self) -> tuple[Vertex, ...]:
+        return tuple(self.iter_members())
+
+    @cached_property
+    def _member_set(self) -> frozenset[Vertex]:
+        return frozenset(self.members)
 
     def member_set(self) -> frozenset[Vertex]:
         return self._member_set
 
     def __contains__(self, v) -> bool:
         try:
-            return as_vertex(v) in self._member_set
+            v = as_vertex(v)
         except InvalidVertexError:
             return False
+        return v.y <= self.reach(v.x)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(max(self.reach(x) - x, 0) for x in range(1, self.n_points + 1))
 
     def graph(self) -> ShiftGraph:
         return ShiftGraph(self.n_points)
@@ -237,7 +265,7 @@ class CriticalCore:
             "n": self.n,
             "n_points": self.n_points,
             "intervals": [[iv.lo, iv.hi] for iv in self.intervals],
-            "members": [[v.x, v.y] for v in self.members],
+            "members": [[v.x, v.y] for v in self.iter_members()],
         }
 
 
@@ -260,21 +288,13 @@ def critical_core(n: int) -> CriticalCore:
     """Critical core for ground interval [1, 2^n + 1]; needs n >= 2.
 
     A pair (x, y) belongs to the core iff some interval I_l contains both
-    endpoints, which happens iff y <= max{hi(I_l) : x in I_l}.  Members
-    are enumerated per left endpoint from that largest right bound.
+    endpoints, which happens iff y <= max{hi(I_l) : x in I_l}.  Only the
+    intervals are built; see CriticalCore.reach.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"critical core needs n >= 2, got {n!r}")
-    intervals = tuple(Interval(2 ** l, 2 ** n - 2 ** (n - l) + 2) for l in range(n + 1))
-    members: list[Vertex] = []
-    for x in range(1, 2 ** n + 2):
-        best_hi = 0
-        for iv in intervals:
-            if iv.covers(x) and iv.hi > best_hi:
-                best_hi = iv.hi
-        for y in range(x + 1, best_hi + 1):
-            members.append(Vertex(x, y))
-    return CriticalCore(n, intervals, tuple(members))
+    return CriticalCore(n, tuple(Interval(2 ** l, 2 ** n - 2 ** (n - l) + 2)
+                                 for l in range(n + 1)))
 
 
 def is_triangle_free(view) -> bool:
@@ -291,8 +311,10 @@ def is_triangle_free(view) -> bool:
     return all(not nbrs[u] & nbrs[w] for u, w in edges)
 
 
-# text pieces joined into one chunk by the streaming serialisers
-_CHUNK_PIECES = 4096
+# text pieces joined into one chunk by the streaming serialisers; a chunk's
+# pieces and text are the largest thing an export holds at once: about
+# 0.2 MB for gen 129 at 1,024 pieces, 1 MB at 4,096, with no slower writes
+_CHUNK_PIECES = 1024
 
 
 def _joined(pieces) -> Iterator[str]:
@@ -302,16 +324,39 @@ def _joined(pieces) -> Iterator[str]:
         yield "".join(batch)
 
 
-def _edge_ids(view, ids: dict, edge_count: int) -> Iterator[tuple[int, int]]:
+def _numbering(view):
+    """The vertices of view in id order, and the table the exports number them by.
+
+    Ids run 1, 2, ... in vertex order.  A full ShiftGraph keeps no vertex
+    table: its vertices stream from vertices(), and the table is the list
+    off of N + 1 offsets with id(x, y) = off[x] + y, where
+    off[x] = (x - 1)(2N - x)/2 - x counts the pairs with a smaller first
+    point, less x.  Any other view gets its vertex_list() and a dict from
+    vertex to id.
+    """
+    if isinstance(view, ShiftGraph):
+        N = view.n_points
+        return view.vertices(), [(x - 1) * (2 * N - x) // 2 - x for x in range(N + 1)]
+    verts = view.vertex_list()
+    return verts, {v: i for i, v in enumerate(verts, 1)}
+
+
+def _edge_ids(view, ids, edge_count: int) -> Iterator[tuple[int, int]]:
     """Id pairs (i, j), i < j, of view.edges(), checked to arrive in ascending order.
 
+    `ids` is the table from _numbering: a list of offsets or a dict.
     Streaming writes the edges in the order the view yields them, so a view
     that breaks the order, or yields other than `edge_count` edges, raises
     ValueError instead of producing unsorted or inconsistent output.
     """
+    offsets = isinstance(ids, list)
     pi = pj = count = 0
     for u, w in view.edges():
-        i, j = ids[u], ids[w]
+        # computed inline: a function call per endpoint costs more than the lookups
+        if offsets:
+            i, j = ids[u[0]] + u[1], ids[w[0]] + w[1]
+        else:
+            i, j = ids[u], ids[w]
         if i >= j or i < pi or (i == pi and j <= pj):
             raise ValueError(f"edges out of ascending id order at {u}-{w}")
         pi, pj = i, j
@@ -324,17 +369,17 @@ def _edge_ids(view, ids: dict, edge_count: int) -> Iterator[tuple[int, int]]:
 def dimacs_chunks(view) -> Iterator[str]:
     """DIMACS edge-format text for a graph view, with a vertex id legend, in chunks.
 
-    Memory stays O(vertices): edges are written as view.edges() yields them.
+    Edges are written as view.edges() yields them, so memory stays
+    O(vertices) for an induced subgraph and O(N) for a full shift graph.
     """
-    verts = view.vertex_list()
-    ids = {v: i for i, v in enumerate(verts, 1)}
-    m = view.edge_count()
+    verts, ids = _numbering(view)
+    n, m = view.vertex_count(), view.edge_count()
 
     def lines():
         yield "c shift graph: vertices are ordered pairs, (x,y) ~ (y,z)\n"
         for i, v in enumerate(verts, 1):
             yield f"c vertex {i} = ({v.x},{v.y})\n"
-        yield f"p edge {len(verts)} {m}\n"
+        yield f"p edge {n} {m}\n"
         for i, j in _edge_ids(view, ids, m):
             yield f"e {i} {j}\n"
 
@@ -359,23 +404,42 @@ def graph_json_chunks(view) -> Iterator[str]:
     """JSON text of graph_to_json_dict(view) in chunks, as json.dumps writes it.
 
     The bytes equal json.dumps(graph_to_json_dict(view), indent=2,
-    sort_keys=True) plus a final newline, but memory stays O(vertices):
-    edges are written as view.edges() yields them.
+    sort_keys=True) plus a final newline, and memory stays as in
+    dimacs_chunks: edges are written as view.edges() yields them.
     """
-    verts = view.vertex_list()
-    ids = {v: i for i, v in enumerate(verts, 1)}
-    m = view.edge_count()
+    verts, ids = _numbering(view)
+    n, m = view.vertex_count(), view.edge_count()
 
     def pieces():
         yield f'{{\n  "edge_count": {m},\n  "edges": '
         yield from _json_list(f"    [\n      {i},\n      {j}\n    ]"
                               for i, j in _edge_ids(view, ids, m))
-        yield (f',\n  "n_points": {view.n_points},\n  "vertex_count": {len(verts)},'
+        yield (f',\n  "n_points": {view.n_points},\n  "vertex_count": {n},'
                '\n  "vertices": ')
         yield from _json_list(
             f'    {{\n      "id": {i},\n      "x": {v.x},\n      "y": {v.y}\n    }}'
             for i, v in enumerate(verts, 1))
         yield "\n}\n"
+
+    return _joined(pieces())
+
+
+def core_json_chunks(core: CriticalCore) -> Iterator[str]:
+    """JSON text of core.to_json_dict() in chunks, as json.dumps writes it.
+
+    The bytes equal json.dumps(core.to_json_dict(), indent=2,
+    sort_keys=True) plus a final newline; members stream from
+    core.iter_members(), so no member table is built.
+    """
+    def pair(a, b):
+        return f"    [\n      {a},\n      {b}\n    ]"
+
+    def pieces():
+        yield '{\n  "intervals": '
+        yield from _json_list(pair(iv.lo, iv.hi) for iv in core.intervals)
+        yield ',\n  "members": '
+        yield from _json_list(pair(v.x, v.y) for v in core.iter_members())
+        yield f',\n  "n": {core.n},\n  "n_points": {core.n_points}\n}}\n'
 
     return _joined(pieces())
 

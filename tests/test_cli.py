@@ -206,18 +206,33 @@ def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.col", "real.col"]
 
 
-@pytest.mark.parametrize("fmt", ("dimacs", "json"))
-def test_gen_129_streams_in_bounded_memory(capsys, tmp_path, fmt):
-    # 349,504 edges; holding them, as an in-memory export does, peaks above 50 MB
-    target = tmp_path / "g129"
+def traced_peak(argv):
     tracemalloc.start()
     try:
-        code = main(["gen", "129", "--format", fmt, "--out", str(target)])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and target.stat().st_size > 4_000_000
-    assert peak < 4 * 2 ** 20
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ("dimacs", "json"))
+def test_gen_129_streams_in_bounded_memory(capsys, tmp_path, fmt):
+    # 349,504 edges; holding them, as an in-memory export does, peaks above 50 MB,
+    # and a table of the 8,256 vertices and their ids above 1 MB
+    target = tmp_path / "g129"
+    peak = traced_peak(["gen", "129", "--format", fmt, "--out", str(target)])
+    assert target.stat().st_size > 4_000_000
+    assert peak < 2 ** 20
+
+
+def test_core_8_streams_in_bounded_memory(capsys, tmp_path):
+    # 31,103 members; their tuple, set and JSON lists peak near 7 MB
+    target = tmp_path / "core8.json"
+    peak = traced_peak(["core", "8", "--out", str(target)])
+    assert target.stat().st_size > 900_000
+    assert peak < 2 ** 20
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

@@ -18,7 +18,13 @@ from shiftcrit import (
     neighbors,
     to_dimacs,
 )
-from shiftcrit.graphs import dimacs_chunks, graph_json_chunks, graph_to_json_dict
+from shiftcrit.graphs import (
+    _numbering,
+    core_json_chunks,
+    dimacs_chunks,
+    graph_json_chunks,
+    graph_to_json_dict,
+)
 
 from oracles import (
     brute_adjacent,
@@ -147,6 +153,32 @@ def test_core_reversal_symmetry():
         assert {(npts + 1 - y, npts + 1 - x) for x, y in members} == members
 
 
+def test_arithmetic_membership_matches_oracle():
+    for n in range(2, 8):
+        core = critical_core(n)
+        want = brute_core_members(n)
+        wanted = set(want)
+        assert len(core) == len(want)
+        npts = core.n_points
+        for x in range(0, npts + 2):
+            assert core.reach(x) == max((hi for lo, hi in brute_intervals(n) if lo <= x <= hi),
+                                        default=0)
+        for x in range(1, npts + 1):
+            for y in range(x + 1, npts + 1):
+                assert ((x, y) in core) == ((x, y) in wanted)
+                if (x, y) in wanted:
+                    l = core.least_interval_index((x, y))
+                    assert l == min(l for l, (lo, hi) in enumerate(brute_intervals(n))
+                                    if lo <= x and y <= hi)
+                else:
+                    with pytest.raises(InvalidVertexError):
+                        core.least_interval_index((x, y))
+            for y in (npts + 1, npts + 7):
+                assert (x, y) not in core
+        for bad in ((0, 1), (3, 3), (5, 2), (1.5, 2), "ab", 7, None, (1, 2, 3)):
+            assert bad not in core
+
+
 def test_least_interval_index():
     core = critical_core(3)
     assert core.least_interval_index(Vertex(2, 3)) == 1
@@ -188,7 +220,7 @@ def test_dimacs_format():
 
 
 def export_views():
-    for n_points in range(2, 21):
+    for n_points in (*range(2, 21), 33, 65):
         yield build_shift_graph(n_points)
     for n in (2, 3, 4):
         yield critical_core(n).induced()
@@ -207,6 +239,22 @@ def test_streamed_dimacs_matches_sorted_oracle():
         assert to_dimacs(view) == sorted_dimacs(view)
     chunks = list(dimacs_chunks(build_shift_graph(40)))
     assert len(chunks) > 1 and "".join(chunks) == sorted_dimacs(build_shift_graph(40))
+
+
+def test_streamed_core_json_matches_json_dumps():
+    for n in range(2, 10):
+        core = critical_core(n)
+        want = json.dumps(core.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert "".join(core_json_chunks(core)) == want
+
+
+def test_offset_ids_match_vertex_positions():
+    for n_points in range(2, 41):
+        g = build_shift_graph(n_points)
+        verts, off = _numbering(g)
+        assert list(verts) == list(g.vertex_list()) and len(off) == n_points + 1
+        for i, v in enumerate(g.vertex_list(), 1):
+            assert off[v.x] + v.y == i
 
 
 @given(st.integers(2, 12), st.data())
@@ -232,6 +280,9 @@ class OrderedFake:
 
     def vertex_list(self):
         return (Vertex(1, 2), Vertex(2, 3), Vertex(2, 4), Vertex(3, 4))
+
+    def vertex_count(self):
+        return 4
 
     def edges(self):
         return iter(self._edges)
