@@ -4,7 +4,7 @@ The library builds the triangle-free shift graphs whose chromatic
 number grows logarithmically, extracts the vertex-critical core that
 sits inside them, and verifies both facts mechanically: colorings are
 carried as good sequences of subsets, refutations come from exhaustive
-search over saturated sequences, and an independent branch-and-bound
+search over good sequences, and an independent branch-and-bound
 engine cross-checks every decision.
 """
 from .diagram import DiagramSpec, default_palette, render_svg, write_svg

@@ -14,6 +14,7 @@ and an --out file appears only once it is complete.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -200,10 +201,18 @@ def _add_budget_flags(p) -> None:
     p.add_argument("--max-nodes", type=int, default=None,
                    help="search node budget per solver query")
     p.add_argument("--max-seconds", type=float, default=None,
-                   help="wall-clock budget per solver query")
+                   help="wall-clock budget per solver query; inf means no time limit")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and never modified by parsing.
+
+    argparse objects form reference cycles, so a parser built on every
+    main() call would leave garbage that only the cyclic collector frees,
+    and a process calling main() repeatedly would carry it until a full
+    collection.  Subcommands are dispatched by name in main().
+    """
     parser = argparse.ArgumentParser(
         prog="shiftcrit",
         description="Shift graphs, their critical cores, and certified chromatic numbers.")
@@ -213,12 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_points", type=int, metavar="N")
     p.add_argument("--format", choices=("dimacs", "json"), default="dimacs")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("core", help="emit the critical core for exponent n")
     p.add_argument("n", type=int)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_core)
 
     p = sub.add_parser("chi", help="exact chromatic number with certificates")
     p.add_argument("n_points", type=int, nargs="?", default=None, metavar="N")
@@ -228,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="delete one vertex before solving")
     p.add_argument("--out", default=None, help="write certificates as JSON")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("verify", help="run a verification pipeline")
     p.add_argument("theorem", choices=("1", "2", "3", "formula"))
@@ -240,21 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="criticality: force non-member refutations at any n")
     p.add_argument("--out", default=None, help="write the report as JSON")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diagram", help="render the core as SVG")
     p.add_argument("n", type=int)
     p.add_argument("--cell-size", type=int, default=None, metavar="PX")
     p.add_argument("--no-hyperbola", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_diagram)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so that a cmd_* replaced after the parser was built still runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (InvalidParameterError, InvalidVertexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,24 +3,19 @@
 The first engine decides whether a good sequence exists: a proper
 k-coloring of the constrained pairs is the same thing as a length-N
 sequence over subsets of [1, k] avoiding forward containment on those
-pairs, so backtracking over sequence entries decides colorability.  When
-the constraint set is the critical core W(n) and k = n, the search space
-shrinks to saturated sequences (saturation maps any good sequence to a
-saturated one without breaking goodness), and a counting prune applies:
-everything pending for the suffix, closed downward under subsets, must
-still fit into the remaining positions.  That closure bound subsumes the
-position bound "an entry of size c cannot sit later than position
-L - 2^c + 1".
+pairs, so backtracking over sequence entries decides colorability.  It
+searches all good sequences, with forward checking on the masks still
+placeable at later positions, on an explicit stack rather than by
+recursion.
 
 With forward checking on, the first engine also keeps a failure memo
 (nogood recording): the state at a branch point is the branch index,
-the number of colors introduced so far, the feasible-mask bitset of
-every remaining branch position and, in saturated mode, the pending
-submask set.  Everything the rest of the search reads is a function of
-that state, so a state whose subtree was exhausted once is skipped when
-it recurs.  Only exhausted subtrees are recorded, never budget cut-offs,
-and the search order is unchanged, so certificates are identical with
-and without the memo.
+the number of colors introduced so far and the feasible-mask bitset of
+every remaining branch position.  Everything the rest of the search
+reads is a function of that state, so a state whose subtree was
+exhausted once is skipped when it recurs.  Only exhausted subtrees are
+recorded, never budget cut-offs, and the search order is unchanged, so
+certificates are identical with and without the memo.
 
 The second engine is a classical branch-and-bound vertex coloring with
 saturation-degree ordering, a greedy clique precoloring, and the
@@ -43,28 +38,31 @@ from .graphs import CriticalCore, InducedSubgraph, ShiftGraph, Vertex
 from .sequences import (
     SubsetSequence,
     VertexColoring,
-    _cached_core,
-    _proper_submasks,
     coloring_from_sequence,
     constraint_pairs,
     is_good,
     proper_coloring_violation,
 )
 
-_SATURATED_GROUND_CAP = 14  # closure bitsets take 4^k bits total
 _MEMO_CAP = 1 << 20  # failure-memo entries; at the cap lookups go on, inserts stop
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock limits for a single solver query."""
+    """Node and wall-clock limits for a single solver query.
+
+    max_seconds = inf means no time limit; NaN is rejected.
+    """
 
     max_nodes: int = 100_000_000
     max_seconds: float = 600.0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_seconds <= 0:
-            raise InvalidParameterError("budget limits must be positive")
+        # written as `not ... >` so that NaN, which fails every comparison, is rejected
+        if not (self.max_nodes >= 1 and self.max_seconds > 0):
+            raise InvalidParameterError(
+                f"budget limits must be positive, got max_nodes={self.max_nodes!r}, "
+                f"max_seconds={self.max_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,7 @@ class ColorabilityResult:
     prunes: int
     certificate_sequence: SubsetSequence | None = None
     certificate_coloring: VertexColoring | None = None
+    memo_entries: int = 0  # failure-memo size at the end; equals _MEMO_CAP when capped
 
     @property
     def conclusive(self) -> bool:
@@ -142,41 +141,28 @@ class _Clock:
         return True
 
 
-def _closure_bitsets(k: int) -> list[int]:
-    """For each mask m over [1, k], the set {b : b subset of m} as a bitset of masks."""
-    out = [1]  # closure of the empty set is itself
-    for m in range(1, 1 << k):
-        low = m & -m
-        rest = out[m ^ low]
-        out.append(rest | (rest << low))
-    return out
-
-
 def k_colorable_via_sequences(n_points: int, k: int, X,
-                              budget: SearchBudget | None = None,
-                              saturated_only: bool | None = None) -> ColorabilityResult:
+                              budget: SearchBudget | None = None) -> ColorabilityResult:
     """Decide k-colorability of the pairs X over [1, n_points] via good sequences.
 
     Searches for a length-n_points sequence over subsets of [1, k] with
-    no forward containment on X, position by position in descending
-    mask-size order.  Color labels are canonicalized by first use (any
+    no forward containment on X, branching left to right on the
+    positions that occur in some pair, with masks tried in descending
+    size order.  Color labels are canonicalized by first use (any
     witness relabels to one introducing colors in order), which is sound
-    for the yes/no decision.  saturated_only=None auto-restricts to
-    saturated sequences when X is the critical core W(k) on [1, 2^k + 1];
-    the restriction is sound because saturation preserves goodness, and
-    it enables counting prunes on the downward closure of the submasks
-    still owed to the suffix.  A "yes" re-verifies its certificate;
-    "no" is exhaustive.
+    for the yes/no decision.  A "yes" re-verifies its certificate; "no"
+    is exhaustive over all good sequences.
 
     When forward checking is on (k <= 12) a failure memo records every
     exhausted branch point under one int key packing the branch index,
-    the first-use color count, feasible[q] for each remaining branch
-    position q and, in saturated mode, the pending set as a mask bitset.
-    The key is sound because with forward checking `entries` is read
-    only to build the final certificate, and `avail` and the window
-    tests are functions of `feasible` at positions after the current
-    one.  A memo hit counts as a prune and costs no node; at _MEMO_CAP
-    entries the memo stops growing but is still consulted.
+    the first-use color count and feasible[q] for each remaining branch
+    position q.  The key is sound because with forward checking
+    `entries` is read only to build the final certificate.  A memo hit
+    counts as a prune and costs no node; at _MEMO_CAP entries the memo
+    stops growing but is still consulted.
+
+    The search keeps one frame per branch index on an explicit stack,
+    so its depth is not bounded by the interpreter's recursion limit.
     """
     if not isinstance(n_points, int) or n_points < 2:
         raise InvalidParameterError(f"ground interval needs N >= 2, got {n_points!r}")
@@ -190,11 +176,6 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         pairs = constraint_pairs(X, n_points)
     except SequenceLengthError as e:
         raise InvalidVertexError(str(e)) from None
-    if saturated_only is None:
-        saturated_only = (2 <= k <= _SATURATED_GROUND_CAP and n_points == 2 ** k + 1
-                          and set(pairs) == {tuple(v) for v in _cached_core(k).members})
-    if saturated_only and k > _SATURATED_GROUND_CAP:
-        raise InvalidParameterError(f"saturated search supports k <= {_SATURATED_GROUND_CAP}")
 
     left_partners: list[tuple[int, ...]] = [()] * (n_points + 1)
     right_partners: list[tuple[int, ...]] = [()] * (n_points + 1)
@@ -207,23 +188,12 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         left_partners[j] = tuple(sorted(ii))
     for i, jj in by_left.items():
         right_partners[i] = tuple(sorted(jj))
-
-    if saturated_only:
-        branch_positions = list(range(1, n_points + 1))
-        closure_bits = _closure_bitsets(k)
-        size_ge_bits = [0] * (k + 1)
-        for b in range(1 << k):
-            for c in range(1, b.bit_count() + 1):
-                size_ge_bits[c] |= 1 << b
-        window_end = [n_points - (1 << c) + 1 for c in range(k + 1)]
-    else:
-        branch_positions = sorted({p for ij in pairs for p in ij})
-        closure_bits = None
+    branch_positions = sorted({p for ij in pairs for p in ij})
+    n_branch = len(branch_positions)
 
     # forward checking: feasible[p] is the bitset of masks still placeable at p;
     # placing m at i removes every superset of m from each right partner of i
     use_fc = k <= 12
-    avail = None
     if use_fc:
         n_masks = 1 << k
         up_bits = [1 << m for m in range(n_masks)]
@@ -235,71 +205,49 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         all_bits = (1 << n_masks) - 1
         not_up = [all_bits ^ u for u in up_bits]
         feasible = [all_bits] * (n_points + 1)
-        if saturated_only:
-            mask_size = [m.bit_count() for m in range(n_masks)]
-            pos_all = 0
-            for p in branch_positions:
-                pos_all |= 1 << p
-            # avail[b]: positions where b is still placeable, for deadline checks
-            avail = [pos_all] * n_masks
-            high_mask = [pos_all & ~((1 << (p + 1)) - 1) for p in range(n_points + 2)]
-            window_pos = [pos_all & ((1 << (we + 1)) - 1) if we >= 0 else 0
-                          for we in window_end]
 
     masks_desc = sorted(range(1 << k), key=lambda b: (-b.bit_count(), -b))
     clock = _Clock(budget)
     entries = [0] * (n_points + 1)
-    pending: set[int] = set()
-    n_branch = len(branch_positions)
     memo: set[int] = set()
 
-    def memo_key(bi: int, used: int) -> int:
-        """Pack the search state at branch index bi into one int.
+    def memo_key(bi: int, used: int) -> int | None:
+        """Pack the search state at branch index bi into one int (None without FC).
 
-        Fixed-width fields (one per remaining position, plus pending),
-        with bi and the color count in the low digits so keys of
-        different depths never collide.
+        One fixed-width field per remaining position, with bi and the
+        color count in the low digits so keys of different depths never
+        collide.
         """
+        if not use_fc:
+            return None
         key = 0
         for q in branch_positions[bi:]:
             key = (key << n_masks) | feasible[q]
-        if saturated_only:
-            pending_bits = 0
-            for b in pending:
-                pending_bits |= 1 << b
-            key = (key << n_masks) | pending_bits
         return (key * (k + 1) + used.bit_length()) * n_branch + bi
 
-    def undo_fc(trail):
-        for j, old, removed in reversed(trail):
+    def undo(trail) -> None:
+        for j, old in reversed(trail):
             feasible[j] = old
-            if avail is not None:
-                jbit = 1 << j
-                rm = removed
-                while rm:
-                    lowb = rm & -rm
-                    avail[lowb.bit_length() - 1] |= jbit
-                    rm ^= lowb
 
-    def place(bi: int, used: int):
-        """True = found, False = subtree exhausted, None = budget hit.
-
-        `used` is the set of colors already introduced; by the
-        relabeling canonicalization it is always a prefix [1, t], and a
-        candidate may only bring in the next colors in order.
-        """
-        if bi == n_branch:
-            return True
-        key = None
-        if use_fc:
-            key = memo_key(bi, used)
-            if key in memo:
-                clock.prunes += 1
-                return False
+    # frame bi: memo key, remaining candidate masks, colors in use, FC trail of
+    # the candidate being explored.  `used` is always a prefix [1, t] by the
+    # first-use canonicalization: a candidate may only bring in the next colors.
+    key_at: list[int | None] = [None] * n_branch
+    cands_at: list = [None] * n_branch
+    used_at = [0] * n_branch
+    trail_at: list = [()] * n_branch
+    found = n_branch == 0
+    out_of_budget = False
+    bi = 0
+    if not found:
+        key_at[0], cands_at[0] = memo_key(0, 0), iter(masks_desc)
+    while not found:
         p = branch_positions[bi]
-        for m in masks_desc:
+        used = used_at[bi]
+        for m in cands_at[bi]:
             if not clock.tick():
-                return None
+                out_of_budget = True
+                break
             fresh = m & ~used
             if fresh and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length():
                 clock.prunes += 1
@@ -312,95 +260,57 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
                 clock.prunes += 1
                 continue
             trail = ()
-            dead = False
             if use_fc and right_partners[p]:
                 trail = []
                 nu = not_up[m]
+                dead = False
                 for j in right_partners[p]:
                     old = feasible[j]
                     new = old & nu
                     if new != old:
                         feasible[j] = new
-                        removed = old ^ new
-                        trail.append((j, old, removed))
-                        if avail is not None:
-                            keep = ~(1 << j)
-                            rm = removed
-                            while rm:
-                                lowb = rm & -rm
-                                avail[lowb.bit_length() - 1] &= keep
-                                rm ^= lowb
+                        trail.append((j, old))
                         if new == 0:
                             dead = True
                             break
-            if dead:
-                clock.prunes += 1
-                undo_fc(trail)
-                continue
-            if saturated_only:
-                was_pending = m in pending
-                pending.discard(m)
-                added = [b for b in _proper_submasks(m) if b not in pending]
-                pending.update(added)
-                need = 0
-                for b in pending:
-                    need |= closure_bits[b]
-                bad = need.bit_count() > n_points - p
-                if not bad:
-                    # everything pending of size >= c is confined to positions <= N - 2^c + 1
-                    for c in range(1, k + 1):
-                        room = window_end[c] - p
-                        if (need & size_ge_bits[c]).bit_count() > (room if room > 0 else 0):
-                            bad = True
-                            break
-                if not bad and avail is not None:
-                    hp = high_mask[p]
-                    for b in pending:
-                        if not avail[b] & window_pos[mask_size[b]] & hp:
-                            bad = True
-                            break
-                if bad:
+                if dead:
                     clock.prunes += 1
-                    pending.difference_update(added)
-                    if was_pending:
-                        pending.add(m)
-                    undo_fc(trail)
+                    undo(trail)
                     continue
-                entries[p] = m
-                sub = place(bi + 1, used | m)
-                pending.difference_update(added)
-                if was_pending:
-                    pending.add(m)
-            else:
-                entries[p] = m
-                sub = place(bi + 1, used | m)
-            undo_fc(trail)
-            if sub:
-                return True
-            if sub is None:
-                return None
-        if key is not None and len(memo) < _MEMO_CAP:
-            memo.add(key)
-        return False
+            entries[p] = m
+            if bi + 1 == n_branch:
+                found = True
+                break
+            key = memo_key(bi + 1, used | m)
+            if key in memo:
+                clock.prunes += 1
+                undo(trail)
+                continue
+            trail_at[bi] = trail
+            bi += 1
+            key_at[bi], cands_at[bi], used_at[bi] = key, iter(masks_desc), used | m
+            break
+        else:
+            # every candidate at bi failed: its subtree is exhausted
+            if key_at[bi] is not None and len(memo) < _MEMO_CAP:
+                memo.add(key_at[bi])
+            if bi == 0:
+                break
+            bi -= 1
+            undo(trail_at[bi])
+        if out_of_budget:
+            break
 
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n_points + 200))
-    try:
-        outcome = place(0, 0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    if outcome is None:
-        return ColorabilityResult("inconclusive", k, "sequence", clock.nodes, clock.prunes)
-    if not outcome:
-        return ColorabilityResult("no", k, "sequence", clock.nodes, clock.prunes)
+    if not found:
+        return ColorabilityResult("inconclusive" if out_of_budget else "no", k, "sequence",
+                                  clock.nodes, clock.prunes, memo_entries=len(memo))
     seq = SubsetSequence(tuple(entries[1:]), k)
     if not is_good(seq, pairs):
         raise ConstructionError("sequence search returned a bad certificate")
     coloring = coloring_from_sequence(seq, pairs) if pairs else VertexColoring({}, k)
     return ColorabilityResult("yes", k, "sequence", clock.nodes, clock.prunes,
-                              certificate_sequence=seq, certificate_coloring=coloring)
+                              certificate_sequence=seq, certificate_coloring=coloring,
+                              memo_entries=len(memo))
 
 
 def _adjacency(view):

@@ -142,15 +142,14 @@ def test_criterion_5_nonmember_refutations():
 
 
 def test_criterion_6_no_w_good_sequence():
-    label = "saturated search refutes W-goodness, n <= 4 conclusive"
+    label = "good-sequence search refutes W-goodness, n <= 4 conclusive"
     with criterion(6, label):
         t0 = time.perf_counter()
         for n in (2, 3, 4):
             core = critical_core(n)
             r = k_colorable_via_sequences(core.n_points, n, core,
                                           SearchBudget(max_nodes=10_000_000,
-                                                       max_seconds=600),
-                                          saturated_only=True)
+                                                       max_seconds=600))
             assert r.decision == "no", n
             assert r.refutation_record()["conclusive"] is True
         assert time.perf_counter() - t0 <= 600

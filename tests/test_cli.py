@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -99,6 +100,7 @@ def test_verify_w4_refutation_is_conclusive(capsys, tmp_path):
     assert code == 0
     cert = json.loads(target.read_text())["certificates"]["lower:saturated-refutation"]
     assert cert["k"] == 4 and cert["conclusive"] is True
+    assert cert["nodes"] == 69_648
 
 
 def test_verify_each_theorem(capsys):
@@ -144,6 +146,28 @@ def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("SHIFTCRIT_MAX_SECONDS", "60")
     code, out, _ = run(capsys, "chi", "5")
     assert code == 0 and "chi = 3" in out
+
+
+def test_nan_time_budget_is_a_usage_error(capsys, monkeypatch):
+    # NaN fails every comparison, so it would silently switch the time budget off
+    code, _, err = run(capsys, "verify", "3", "--n", "2", "--max-seconds", "nan")
+    assert code == 2 and "max_seconds=nan" in err
+    monkeypatch.setenv("SHIFTCRIT_MAX_SECONDS", "nan")
+    code, _, err = run(capsys, "verify", "3", "--n", "2")
+    assert code == 2 and "max_seconds=nan" in err
+
+
+def test_inf_time_budget_means_no_limit(capsys, monkeypatch):
+    assert run(capsys, "chi", "5", "--max-seconds", "inf")[0] == 0
+    monkeypatch.setenv("SHIFTCRIT_MAX_SECONDS", "inf")
+    assert run(capsys, "verify", "3", "--n", "2")[0] == 0
+
+
+def test_parser_is_built_once_and_subcommands_dispatch_by_name(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    # a replaced cmd_* (as the benchmark's tracer installs) runs after the parser is built
+    monkeypatch.setattr(cli, "cmd_core", lambda args: 42)
+    assert main(["core", "2"]) == 42
 
 
 def test_usage_error_from_argparse():
@@ -245,3 +269,54 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
     # the tracer counts the bytes of _emit's first argument
     assert list(inspect.signature(cli._emit).parameters) == ["text", "out"]
+
+
+# sha256 of the --out bytes of commands whose searches never ran in the
+# saturated mode the sequence engine once had; recorded from that engine
+GOLDEN_OUT_SHA256 = {
+    ("chi", "2"):
+        "1a15a4c5719d1c6f52bfdc90d149fe7efa70f4bc699f95211116d5f179f86321",
+    ("chi", "3"):
+        "981b6b22aaff7c2e11de11fa5bdf2f0edb763b5f92c0e259fb9822d94fd4846b",
+    ("chi", "4"):
+        "fabb5f7ac9abe1d223c7b78caf5034e64fab4b6e6cb904f777d08e0a5e9cc891",
+    ("chi", "5"):
+        "b3ee0a5e0d4b15dd935eda00c0f90049faa74959f3f8e698a843e5efd0bbbb1d",
+    ("chi", "6"):
+        "25b457731a8ee411230465cec247b49783f9ccca96bb9dfe037d0690da8ff9ea",
+    ("chi", "7"):
+        "82e41c05fe2dc2f64a8f794e2bee8e20643004c1044a32d08c8a3c8d412e1efa",
+    ("chi", "8"):
+        "fc7a9582741d57709c44a7ae796f628c105fc0bfcbcd0f6792af65da5361c79b",
+    ("chi", "9"):
+        "b979be7ca39efd0eb9ac0e12f7f2b863e9b6e3c8b848d58d135177db2337353c",
+    ("chi", "10"):
+        "a2316149cb50d35d0513d179258b0b8fb8ad58e5ba66786f84f69025039421a5",
+    ("chi", "11"):
+        "0d0807f498cf2f1c9c8d362f0d0b56b9fb2096dfd5e855500c0e037437589751",
+    ("chi", "12"):
+        "030f68feb8227706d4038117ed3b0f24d4fab011a50d0a344510630d7cebd246",
+    ("chi", "13"):
+        "488020f5240da9bb061798c875a19b8a483bcb901dde6f85002bca9d11a484d0",
+    ("chi", "14"):
+        "6b52dd68643fdee02b6d8824e5d114f482ae2484a942f2f54599f6998e5684a8",
+    ("chi", "--core", "4", "--delete", "2,7"):
+        "24d8db51e6d23a454e7ed88546837e9ad425680fb5cc40d821eca6d4753effc4",
+    ("chi", "--core", "4", "--delete", "2,6"):
+        "0fcd67a8507741209a6f9a3d99588c6b3914bcf732e1828fe43fa727b9cdf800",
+    ("chi", "--core", "4", "--delete", "9,11"):
+        "085d5c45801f9879ec9c3283521af4fc112bfb41c008c76e0318f58826518984",
+    ("chi", "--core", "4", "--delete", "12,15"):
+        "8fb65e712b96c833188469e5f11bde5e01be65d2fb60659fe21d8326d77073e1",
+    ("chi", "--core", "4", "--delete", "4,7"):
+        "3ffcebaae7caf4c6252f5c7d0ab479026e3a81ff104568bcc8c4893277cec34d",
+    ("verify", "2", "--n", "3"):
+        "c57cc2d3fe4b110bb0f3a27cc9ef60b7ccd6220aed4eb347a078f8d285b28fbf",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_OUT_SHA256), ids=" ".join)
+def test_out_bytes_match_recorded_digests(capsys, tmp_path, argv):
+    target = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(target))[0] == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_OUT_SHA256[argv]

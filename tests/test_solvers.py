@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +43,17 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(InvalidParameterError):
         SearchBudget(max_seconds=-1)
+
+
+def test_budget_rejects_nan_and_accepts_inf():
+    # a NaN limit would fail every `>` test and so switch the time budget off
+    with pytest.raises(InvalidParameterError):
+        SearchBudget(max_seconds=math.nan)
+    with pytest.raises(InvalidParameterError):
+        SearchBudget(max_nodes=math.nan)
+    unlimited = SearchBudget(max_seconds=math.inf)
+    r = k_colorable_via_sequences(5, 2, build_shift_graph(5), unlimited)
+    assert r.decision == "no"
 
 
 def test_sequence_engine_worked_examples():
@@ -116,22 +130,38 @@ def test_budget_exhaustion_is_inconclusive():
     assert not res.conclusive and res.chi is None
 
 
-def test_saturated_only_agrees_with_plain():
-    for X, npts, k in ((critical_core(2), 5, 2), (critical_core(3), 9, 3),
-                       (build_shift_graph(5), 5, 2), (build_shift_graph(5), 5, 3)):
-        plain = k_colorable_via_sequences(npts, k, X, TIGHT, saturated_only=False)
-        sat = k_colorable_via_sequences(npts, k, X, TIGHT, saturated_only=True)
-        assert plain.decision == sat.decision
+def test_sequence_engine_agrees_with_bb_on_cores_and_full_graphs():
+    for X, npts, k, want in ((critical_core(2), 5, 2, "no"), (critical_core(3), 9, 3, "no"),
+                             (build_shift_graph(5), 5, 2, "no"),
+                             (build_shift_graph(5), 5, 3, "yes")):
+        seq = k_colorable_via_sequences(npts, k, X, TIGHT)
+        bb = k_colorable_bb(X, k, TIGHT)
+        assert seq.decision == bb.decision == want, (npts, k)
 
 
-def test_memo_refutes_w4_in_both_modes():
+def test_memo_refutes_w4_within_100k_nodes():
     core4 = critical_core(4)
-    for saturated in (True, False):
-        r = k_colorable_via_sequences(core4.n_points, 4, core4,
-                                      SearchBudget(max_nodes=200_000, max_seconds=60),
-                                      saturated_only=saturated)
-        assert r.decision == "no", saturated
-        assert r.refutation_record()["conclusive"] is True
+    r = k_colorable_via_sequences(core4.n_points, 4, core4,
+                                  SearchBudget(max_nodes=100_000, max_seconds=60))
+    assert r.decision == "no"
+    assert r.refutation_record()["conclusive"] is True
+    assert (r.nodes, r.memo_entries) == (69_648, 4_353)
+
+
+def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
+    depth = 1200
+    assert depth > sys.getrecursionlimit()
+    limit = sys.getrecursionlimit()
+
+    def refuse(_):
+        raise AssertionError("the engine must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    path = [(i, i + 1) for i in range(1, depth)]
+    r = k_colorable_via_sequences(depth, 2, path, TIGHT)
+    assert r.decision == "yes"
+    assert is_good(r.certificate_sequence, path)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_memo_refutes_shift_graph_17_at_k4():
@@ -158,13 +188,14 @@ def test_memo_keeps_yes_certificate_and_cuts_nodes():
 
 
 def test_memo_at_cap_keeps_refuting():
-    # W(4) needs about 7 k entries; at a 3 k cap inserts stop, lookups go on
+    # W(4) needs 4,353 entries; at a 3 k cap inserts stop, lookups go on
     core4 = critical_core(4)
     budget = SearchBudget(max_nodes=2_000_000, max_seconds=60)
-    full = k_colorable_via_sequences(17, 4, core4, budget, saturated_only=False)
-    capped = capped_memo_run(3000, 17, 4, core4, budget, saturated_only=False)
+    full = k_colorable_via_sequences(17, 4, core4, budget)
+    capped = capped_memo_run(3000, 17, 4, core4, budget)
     assert full.decision == capped.decision == "no"
     assert full.nodes < capped.nodes
+    assert capped.memo_entries == 3000
 
 
 def test_sequence_engine_colors_every_core_deletion():

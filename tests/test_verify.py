@@ -133,3 +133,20 @@ def test_bad_parameters():
             fn(1)
         with pytest.raises(InvalidParameterError):
             fn("3")
+
+
+def test_refutation_rows_for_each_search_outcome():
+    from shiftcrit import ColorabilityResult, SubsetSequence
+    from shiftcrit.verify import _refutation_row
+
+    no = ColorabilityResult("no", 3, "sequence", 10, 7)
+    assert _refutation_row(no) == ("pass", {"k": 3, "nodes": 10, "prunes": 7,
+                                            "conclusive": True})
+    cut = ColorabilityResult("inconclusive", 3, "bb", 6, 2)
+    assert _refutation_row(cut) == ("inconclusive", {"k": 3, "nodes": 6, "prunes": 2,
+                                                     "conclusive": False})
+    yes = ColorabilityResult("yes", 1, "sequence", 2, 0,
+                             certificate_sequence=SubsetSequence((1, 0), 1))
+    assert _refutation_row(yes) == ("fail", None)
+    status, payload = _refutation_row(yes, counterexample=True)
+    assert status == "fail" and payload is not None
