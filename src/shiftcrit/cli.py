@@ -10,17 +10,25 @@ the default time budget; explicit flags beat the environment.
 
 Every output is streamed to stdout or to its --out file chunk by chunk,
 and an --out file appears only once it is complete.
+
+At import, this module loads only the standard library, `errors` and
+`graphs`, which every command uses.  The solvers, the verify pipelines
+and the SVG renderer load when a command first needs one of their
+names, through `_need`, so `core 3` or `gen 9` never loads them (numpy
+loads later still, on the first vectorized check).  Commands look those
+names up as globals of this module at call time: a function set here
+with setattr, before or after the first command, is the one they call.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import stat
 import sys
 
-from .diagram import DiagramSpec, render_svg
 from .errors import InvalidParameterError, InvalidVertexError
 from .graphs import (
     ShiftGraph,
@@ -30,17 +38,44 @@ from .graphs import (
     critical_core,
     dimacs_chunks,
     graph_json_chunks,
-    # not called here: the benchmark's tracer wraps these names in this module
+    # not called by any command: kept as names of this module for callers that
+    # look them up here, such as the benchmark's tracer, which wraps them
     graph_to_json_dict,
     to_dimacs,
 )
-from .solvers import SearchBudget, chromatic_number
-from .verify import (
-    verify_chromatic_formula,
-    verify_core_chromatic,
-    verify_criticality,
-    verify_uniqueness,
-)
+
+# the submodule of each name a command imports on first use (see _need)
+_LAZY = {
+    "DiagramSpec": "diagram",
+    "render_svg": "diagram",
+    "SearchBudget": "solvers",
+    "chromatic_number": "solvers",
+    "verify_chromatic_formula": "verify",
+    "verify_core_chromatic": "verify",
+    "verify_criticality": "verify",
+    "verify_uniqueness": "verify",
+}
+
+
+def _need(*names: str) -> None:
+    """Bind each of `names` in this module from its submodule, unless it is bound already.
+
+    A name already bound is left alone, so a function set on this module
+    (a wrapper, a test double) stays the one the commands call: they look
+    each name up as a module global at call time.
+    """
+    g = globals()
+    for name in names:
+        if name not in g:
+            g[name] = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(name)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,6 +89,7 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _budget(args) -> SearchBudget:
+    _need("SearchBudget")
     seconds = args.max_seconds
     if seconds is None:
         env = os.environ.get("SHIFTCRIT_MAX_SECONDS")
@@ -77,9 +113,10 @@ def _write_chunks(chunks, out: str | None) -> None:
     A new or regular file is written under a temporary name in its
     directory and renamed onto `out` only once every chunk is written, so
     a failure leaves any earlier `out` untouched and no partial file
-    behind.  Anything else at `out` (a symlink such as /dev/stdout, a
-    device, a pipe) is written through directly, as a rename would
-    replace it.
+    behind.  A temporary name that already exists, such as one a killed
+    run left, is skipped and left alone.  Anything else at `out` (a
+    symlink such as /dev/stdout, a device, a pipe) is written through
+    directly, as a rename would replace it.
     """
     if out is None:
         sys.stdout.writelines(chunks)
@@ -93,8 +130,15 @@ def _write_chunks(chunks, out: str | None) -> None:
             fh.writelines(chunks)
         return
     head, tail = os.path.split(out)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    prefix = os.path.join(head, f".{tail}.{os.getpid()}")
+    tmp, retry = f"{prefix}.tmp", 0
+    while True:
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # left by a killed run whose pid this one reuses
+            retry += 1
+            tmp = f"{prefix}.{retry}.tmp"
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -150,6 +194,7 @@ def cmd_chi(args) -> int:
         keep = [w for w in view.vertex_list() if w != v]
         parent = view if isinstance(view, ShiftGraph) else view.parent
         view = parent.induced(keep)
+    _need("chromatic_number")
     res = chromatic_number(view, _budget(args))
     if not res.conclusive:
         print("chi inconclusive within budget")
@@ -162,6 +207,8 @@ def cmd_chi(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _need("verify_chromatic_formula", "verify_core_chromatic", "verify_criticality",
+          "verify_uniqueness")
     budget = _budget(args)
     if args.theorem == "1":
         report = verify_uniqueness(args.n, budget)
@@ -191,6 +238,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    _need("DiagramSpec", "render_svg")
     spec = DiagramSpec(args.n, cell_size=args.cell_size or 0,
                        hyperbola=not args.no_hyperbola)
     _emit(render_svg(spec), args.out)

@@ -15,14 +15,14 @@ graph n-colorable, and the descending enumeration of all subsets which
 witnesses the general chromatic upper bound.
 
 Subsets are stored as bitmasks: bit t - 1 stands for the element t.
+The vectorized checks import numpy when first called, not with this
+module, so code that never calls them never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import (
     ConstructionError,
@@ -183,6 +183,8 @@ def full_graph_goodness_violation(seq: SubsetSequence, n_points: int,
     minus at most one excluded pair.  Returns the lexicographically least
     violating pair or None.  Vectorized; intended for bulk verification.
     """
+    import numpy as np
+
     N = n_points
     if len(seq) < N:
         raise SequenceLengthError(f"need at least {N} entries, got {len(seq)}")
@@ -207,6 +209,8 @@ def full_graph_min_coloring_is_proper(seq: SubsetSequence, n_points: int,
     excluded pair.  Assumes goodness was already checked, so a_i \\ a_j
     is nonempty on every constrained pair.
     """
+    import numpy as np
+
     N = n_points
     if len(seq) < N:
         raise SequenceLengthError(f"need at least {N} entries, got {len(seq)}")
@@ -236,6 +240,8 @@ def goodness_violation(seq: SubsetSequence, X):
     pairs = constraint_pairs(X, len(seq))
     entries = seq.entries
     if len(pairs) >= 4096:
+        import numpy as np
+
         ii = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
         jj = np.fromiter((j for _, j in pairs), dtype=np.int64, count=len(pairs))
         a = np.asarray(entries, dtype=np.int64)

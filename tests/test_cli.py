@@ -220,6 +220,18 @@ def test_failed_write_leaves_no_partial_out_file(capsys, tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_stale_temporary_file_is_skipped_and_left_alone(capsys, tmp_path):
+    # a run killed mid-write leaves .<name>.<pid>.tmp, and pids are reused
+    target = tmp_path / "core2.json"
+    stale = [tmp_path / f".core2.json.{os.getpid()}{suffix}.tmp" for suffix in ("", ".1")]
+    for path in stale:
+        path.write_text("stale\n")
+    assert run(capsys, "core", "2", "--out", str(target))[0] == 0
+    assert target.read_bytes() == dumps(critical_core(2).to_json_dict()).encode("utf-8")
+    assert [path.read_text() for path in stale] == ["stale\n", "stale\n"]
+    assert sorted(os.listdir(tmp_path)) == sorted(["core2.json"] + [p.name for p in stale])
+
+
 def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
     real = tmp_path / "real.col"
     real.write_text("earlier\n")
