@@ -9,8 +9,8 @@ engine cross-checks every decision.
 
 Importing the package loads none of its submodules.  Each public name
 below is imported from its submodule on first access (PEP 562), so a
-caller pays only for the modules it uses; numpy in turn loads on the
-first vectorized kernel call in ``shiftcrit.sequences``.
+caller pays only for the modules it uses.  The package needs nothing
+outside the standard library.
 """
 import importlib
 

@@ -14,8 +14,8 @@ and an --out file appears only once it is complete.
 At import, this module loads only the standard library, `errors` and
 `graphs`, which every command uses.  The solvers, the verify pipelines
 and the SVG renderer load when a command first needs one of their
-names, through `_need`, so `core 3` or `gen 9` never loads them (numpy
-loads later still, on the first vectorized check).  Commands look those
+names, through `_need`, so `core 3` or `gen 9` never loads them.  No
+command loads anything outside the standard library.  Commands look those
 names up as globals of this module at call time: a function set here
 with setattr, before or after the first command, is the one they call.
 """

@@ -15,8 +15,8 @@ graph n-colorable, and the descending enumeration of all subsets which
 witnesses the general chromatic upper bound.
 
 Subsets are stored as bitmasks: bit t - 1 stands for the element t.
-The vectorized checks import numpy when first called, not with this
-module, so code that never calls them never loads it.
+The bulk goodness and properness checks over a whole shift graph live
+in `fullgraph` and are re-exported here.
 """
 from __future__ import annotations
 
@@ -32,9 +32,13 @@ from .errors import (
     InvalidVertexError,
     SequenceLengthError,
 )
+# both re-exported: callers import the bulk checks from here
+from .fullgraph import full_graph_goodness_violation, full_graph_min_coloring_is_proper
 from .graphs import CriticalCore, InducedSubgraph, ShiftGraph, Vertex, as_vertex, critical_core
 
-_MAX_GROUND = 62  # bitmasks ride in int64 arrays on the numpy paths
+# the solvers' limit of 62 colors; the checks here work on Python ints
+# and need no cap of their own
+_MAX_GROUND = 62
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -175,61 +179,6 @@ def _complete_size(X) -> int | None:
     return X.n_points if isinstance(X, ShiftGraph) else None
 
 
-def full_graph_goodness_violation(seq: SubsetSequence, n_points: int,
-                                  skip_pair: tuple[int, int] | None = None):
-    """First (i, j), i < j <= n_points, with entry i contained in entry j.
-
-    Checks the complete constraint set of the shift graph on [1, n_points],
-    minus at most one excluded pair.  Returns the lexicographically least
-    violating pair or None.  Vectorized; intended for bulk verification.
-    """
-    import numpy as np
-
-    N = n_points
-    if len(seq) < N:
-        raise SequenceLengthError(f"need at least {N} entries, got {len(seq)}")
-    a = np.asarray(seq.entries[:N], dtype=np.int64)
-    contained = (a[:, None] & ~a[None, :]) == 0
-    contained &= np.tri(N, N, -1, dtype=bool).T  # keep i < j only
-    if skip_pair is not None:
-        i0, j0 = skip_pair
-        contained[i0 - 1, j0 - 1] = False
-    if not contained.any():
-        return None
-    i, j = np.argwhere(contained)[0]
-    return (int(i) + 1, int(j) + 1)
-
-
-def full_graph_min_coloring_is_proper(seq: SubsetSequence, n_points: int,
-                                      skip_pair: tuple[int, int] | None = None) -> bool:
-    """Check the min-element coloring of all pairs over [1, n_points].
-
-    Colors pair (i, j) with the least element of a_i \\ a_j and verifies
-    no chain (i, j) ~ (j, l) repeats a color, skipping at most one
-    excluded pair.  Assumes goodness was already checked, so a_i \\ a_j
-    is nonempty on every constrained pair.
-    """
-    import numpy as np
-
-    N = n_points
-    if len(seq) < N:
-        raise SequenceLengthError(f"need at least {N} entries, got {len(seq)}")
-    a = np.asarray(seq.entries[:N], dtype=np.int64)
-    diff = a[:, None] & ~a[None, :]
-    low = diff & -diff  # single-bit color mask per pair
-    if skip_pair is not None:
-        i0, j0 = skip_pair
-        low[i0 - 1, j0 - 1] = 0
-    acc_down = np.bitwise_or.accumulate(low, axis=0)
-    acc_right = np.bitwise_or.accumulate(low[:, ::-1], axis=1)[:, ::-1]
-    left_colors = np.zeros(N, dtype=np.int64)
-    right_colors = np.zeros(N, dtype=np.int64)
-    idx = np.arange(N - 1)
-    left_colors[1:] = acc_down[idx, idx + 1]   # colors entering middle point m from the left
-    right_colors[:-1] = acc_right[idx, idx + 1]  # colors leaving m to the right
-    return not bool(np.any(left_colors & right_colors))
-
-
 def goodness_violation(seq: SubsetSequence, X):
     """Lexicographically least constrained (i, j) with a_i contained in a_j, or None."""
     N = _complete_size(X)
@@ -239,16 +188,6 @@ def goodness_violation(seq: SubsetSequence, X):
         return full_graph_goodness_violation(seq, N)
     pairs = constraint_pairs(X, len(seq))
     entries = seq.entries
-    if len(pairs) >= 4096:
-        import numpy as np
-
-        ii = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
-        jj = np.fromiter((j for _, j in pairs), dtype=np.int64, count=len(pairs))
-        a = np.asarray(entries, dtype=np.int64)
-        bad = (a[ii - 1] & ~a[jj - 1]) == 0
-        if not bad.any():
-            return None
-        return pairs[int(np.argmax(bad))]
     for i, j in pairs:
         if entries[i - 1] & ~entries[j - 1] == 0:
             return (i, j)
@@ -403,15 +342,25 @@ def _cached_core(n: int) -> CriticalCore:
 
 
 @lru_cache(maxsize=None)
+def _size_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """All masks over [1, n] by descending cardinality, ties by ascending
+    value, and the rank table: rank[b] is the index of mask b in that order."""
+    order = tuple(sorted(range(1 << n), key=lambda b: (-b.bit_count(), b)))
+    rank = [0] * len(order)
+    for r, b in enumerate(order):
+        rank[b] = r
+    return order, tuple(rank)
+
+
+@lru_cache(maxsize=None)
 def _comparability_classes(n: int, base: int):
     """All masks over [1, n] except base, split by containment against base.
 
     Returns (supersets, subsets, incomparables), each sorted by
     descending cardinality with ties by ascending mask value.
     """
-    key = lambda b: (-b.bit_count(), b)
     sup, sub, inc = [], [], []
-    for b in range(1 << n):
+    for b in _size_order(n)[0]:
         if b == base:
             continue
         if b & base == base:
@@ -420,7 +369,7 @@ def _comparability_classes(n: int, base: int):
             sub.append(b)
         else:
             inc.append(b)
-    return tuple(sorted(sup, key=key)), tuple(sorted(sub, key=key)), tuple(sorted(inc, key=key))
+    return tuple(sup), tuple(sub), tuple(inc)
 
 
 def construct_deleted_vertex_sequence(n: int, v) -> SubsetSequence:
@@ -444,13 +393,13 @@ def construct_deleted_vertex_sequence(n: int, v) -> SubsetSequence:
     base = (1 << (n - r)) - 1
     i, j = v
     length = 2 ** n + 1
-    key = lambda b: (-b.bit_count(), b)
+    rank = _size_order(n)[1]
     sup, sub, inc = _comparability_classes(n, base)
     head_inc = i - 2 ** r          # incomparables that must land before position i
     mid = j - i - 1
-    before = sorted(sup + inc[:head_inc], key=key)
+    before = sorted(sup + inc[:head_inc], key=rank.__getitem__)
     between = list(inc[head_inc:head_inc + mid])
-    after = sorted(sub + inc[head_inc + mid:], key=key)
+    after = sorted(sub + inc[head_inc + mid:], key=rank.__getitem__)
     entries = before + [base] + between + [base] + after
     if len(before) != i - 1 or len(entries) != length:
         raise ConstructionError(f"region sizes are inconsistent for v={v}, r={r}")

@@ -41,6 +41,34 @@ def brute_is_good(entries, pairs):
     return True
 
 
+def brute_least_violation(entries, pairs, skip=None):
+    # least (i, j) of pairs, other than skip, whose entry i is contained in entry j
+    bad = [(i, j) for i, j in pairs if (i, j) != skip and entries[i - 1] <= entries[j - 1]]
+    return min(bad) if bad else None
+
+
+def brute_min_coloring(entries, n_points, skip=None):
+    # pair (i, j) -> least element of entries[i-1] - entries[j-1]; the skipped
+    # pair and pairs with an empty difference get no color
+    colors = {}
+    for i, j in combinations(range(1, n_points + 1), 2):
+        diff = entries[i - 1] - entries[j - 1]
+        if (i, j) != skip and diff:
+            colors[(i, j)] = min(diff)
+    return colors
+
+
+def brute_min_coloring_is_proper(entries, n_points, skip=None):
+    # every chain (i, m) ~ (m, l) of colored pairs has two different colors
+    colors = brute_min_coloring(entries, n_points, skip)
+    for m in range(1, n_points + 1):
+        for i in range(1, m):
+            for l in range(m + 1, n_points + 1):
+                if (i, m) in colors and (m, l) in colors and colors[(i, m)] == colors[(m, l)]:
+                    return False
+    return True
+
+
 def brute_is_proper(colors, edges):
     return all(colors[u] != colors[v] for u, v in edges)
 

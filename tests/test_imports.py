@@ -34,7 +34,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(sys.modules)))
 """
 
-HEAVY = {"numpy", "shiftcrit.solvers", "shiftcrit.sequences", "shiftcrit.verify"}
+SOLVER_MODULES = {"shiftcrit.solvers", "shiftcrit.sequences", "shiftcrit.fullgraph", "shiftcrit.verify"}
 
 
 @pytest.mark.parametrize("argv", (("core", "3"), ("gen", "9"), ("diagram", "3"), ("--help",)),
@@ -42,13 +42,23 @@ HEAVY = {"numpy", "shiftcrit.solvers", "shiftcrit.sequences", "shiftcrit.verify"
 def test_export_commands_load_no_solver_and_no_numpy(argv):
     loaded = set(json.loads(fresh_python(LOADED_AFTER, *argv)))
     assert "shiftcrit.cli" in loaded
-    assert not loaded & HEAVY, sorted(loaded & HEAVY)
+    assert not loaded & (SOLVER_MODULES | {"numpy"}), sorted(loaded & (SOLVER_MODULES | {"numpy"}))
 
 
 def test_chi_loads_no_verify_and_no_diagram():
     loaded = set(json.loads(fresh_python(LOADED_AFTER, "chi", "5")))
     assert "shiftcrit.solvers" in loaded
-    assert not loaded & {"shiftcrit.verify", "shiftcrit.diagram"}
+    assert not loaded & {"shiftcrit.verify", "shiftcrit.diagram", "numpy"}
+
+
+@pytest.mark.parametrize("argv", (("verify", "1", "--n", "2"), ("verify", "2", "--n", "2"),
+                                  ("verify", "3", "--n", "2"), ("verify", "formula", "--n", "9")),
+                         ids=" ".join)
+def test_verify_commands_load_no_numpy(argv):
+    # each of these runs a bulk goodness or properness check
+    loaded = set(json.loads(fresh_python(LOADED_AFTER, *argv)))
+    assert {"shiftcrit.fullgraph", "shiftcrit.verify"} <= loaded
+    assert "numpy" not in loaded
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -1,7 +1,9 @@
+import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftcrit import (
@@ -30,6 +32,8 @@ from shiftcrit import (
     sequence_from_dict,
     sequence_to_dict,
 )
+from shiftcrit import fullgraph
+from shiftcrit.fullgraph import _min_coloring_points
 from shiftcrit.sequences import (
     format_mask,
     full_graph_goodness_violation,
@@ -39,7 +43,12 @@ from shiftcrit.sequences import (
     smallest_element,
 )
 
-from oracles import brute_is_good
+from oracles import (
+    brute_is_good,
+    brute_least_violation,
+    brute_min_coloring,
+    brute_min_coloring_is_proper,
+)
 
 
 def seq_of(sets, n):
@@ -119,6 +128,125 @@ def test_constraint_length_guard():
     seq = seq_of([{1}, {2}], 2)
     with pytest.raises(SequenceLengthError):
         is_good(seq, [(1, 3)])
+
+
+# --- bulk kernels over the whole shift graph ------------------------------
+
+def as_sets(entries):
+    return [set(mask_elements(e)) for e in entries]
+
+
+def by_size_descending(masks):
+    return sorted(masks, key=lambda b: (-b.bit_count(), b))
+
+
+@st.composite
+def kernel_inputs(draw, max_len=40):
+    """A sequence over [1, n] for any supported n, a point count and maybe a skipped pair.
+
+    Random entries, entries sorted by descending size (duplicates violate
+    goodness), and distinct entries sorted so (a good sequence).  The
+    skipped pair is none, any pair, or the least violating pair.
+    """
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, 62)))  # half on the mask-table grounds
+    length = draw(st.integers(0, max_len))
+    masks = st.integers(0, (1 << n) - 1)
+    shape = draw(st.sampled_from(("random", "descending", "descending distinct")))
+    if shape == "descending distinct":
+        entries = by_size_descending(draw(st.lists(masks, unique=True, max_size=min(length, 1 << n))))
+    else:
+        entries = draw(st.lists(masks, min_size=length, max_size=length))
+        if shape == "descending":
+            entries = by_size_descending(entries)
+    seq = SubsetSequence(tuple(entries), n)
+    n_points = draw(st.integers(0, len(entries)))
+    skip = None
+    kind = draw(st.sampled_from(("none", "any pair", "least violation")))
+    if kind == "least violation":  # the one skip that changes the answer
+        skip = brute_least_violation(as_sets(entries), all_pairs(n_points))
+    elif kind == "any pair" and n_points >= 2:
+        j = draw(st.integers(2, n_points))
+        skip = (draw(st.integers(1, j - 1)), j)
+    return seq, n_points, skip
+
+
+# the least violation is (i, i + 1), skipped or not; then the skipped
+# pair is the only violation, and the only pair with its color
+EDGE_CASES = [(seq_of([{1}, {1}, {1}], 1), 3, None), (seq_of([{1}, {1}, {1}], 1), 3, (1, 2)),
+              (seq_of([{1}, {1}, set()], 1), 3, (1, 2)), (seq_of([{1}, set(), {1}], 1), 3, (1, 2))]
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+@with_edge_cases
+@given(kernel_inputs())
+def test_full_graph_goodness_matches_the_brute_least_pair(inp):
+    seq, n_points, skip = inp
+    want = brute_least_violation(as_sets(seq.entries), all_pairs(n_points), skip)
+    # grounds up to _TABLE_MAX_GROUND use the mask tables; check the other path on them too
+    for cap in (fullgraph._TABLE_MAX_GROUND, -1):
+        with mock.patch.object(fullgraph, "_TABLE_MAX_GROUND", cap):
+            assert full_graph_goodness_violation(seq, n_points, skip_pair=skip) == want
+
+
+@with_edge_cases
+@given(kernel_inputs())
+def test_min_coloring_matches_the_per_chain_oracle(inp):
+    seq, n_points, skip = inp
+    sets = as_sets(seq.entries)
+    entering, leaving = [0] * n_points, [0] * n_points
+    for (i, j), c in brute_min_coloring(sets, n_points, skip).items():
+        leaving[i - 1] |= 1 << (c - 1)
+        entering[j - 1] |= 1 << (c - 1)
+    want = brute_min_coloring_is_proper(sets, n_points, skip)
+    # grounds up to _TABLE_MAX_GROUND use the mask tables; check the other path on them too
+    for cap in (fullgraph._TABLE_MAX_GROUND, -1):
+        with mock.patch.object(fullgraph, "_TABLE_MAX_GROUND", cap):
+            assert _min_coloring_points(seq.entries[:n_points], seq.n, skip) == (entering, leaving)
+            assert full_graph_min_coloring_is_proper(seq, n_points, skip_pair=skip) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), st.integers(92, 110), st.booleans(), st.integers(0, 2 ** 32))
+def test_goodness_violation_on_a_long_pair_list(n, length, descending, seed):
+    rnd = random.Random(seed)
+    entries = [rnd.randrange(1 << n) for _ in range(length)]
+    seq = SubsetSequence(tuple(by_size_descending(entries) if descending else entries), n)
+    sets = as_sets(seq.entries)
+    every = all_pairs(length)
+    for pairs in (every, rnd.sample(every, 4096)):
+        assert len(pairs) >= 4096
+        assert goodness_violation(seq, pairs) == brute_least_violation(sets, pairs)
+
+
+@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper))
+@pytest.mark.parametrize("skip", ((1, 6), (0, 2), (3, 2), (2, 2), (-2, 1), (1,), (1, 2, 3),
+                                  (1.0, 2), (True, 2), "12", 3), ids=repr)
+def test_skip_pair_must_be_a_pair_of_the_graph(kernel, skip):
+    seq = seq_of([{1}] * 5, 1)  # every pair violates goodness
+    with pytest.raises(InvalidParameterError, match="skip_pair"):
+        kernel(seq, 5, skip_pair=skip)
+
+
+def test_skip_pair_may_be_any_two_int_sequence():
+    seq = seq_of([{1}] * 5, 1)
+    assert full_graph_goodness_violation(seq, 5, skip_pair=(1, 2)) == (1, 3)
+    assert full_graph_goodness_violation(seq, 5, skip_pair=[1, 2]) == (1, 3)
+    assert full_graph_goodness_violation(seq, 5, skip_pair=Vertex(1, 2)) == (1, 3)
+
+
+@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper))
+def test_bulk_kernels_check_the_point_count(kernel):
+    seq = seq_of([{1}, set()], 1)
+    with pytest.raises(SequenceLengthError):
+        kernel(seq, 3)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(InvalidParameterError):
+            kernel(seq, bad)
 
 
 # --- coloring <-> sequence -----------------------------------------------
