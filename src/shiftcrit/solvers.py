@@ -18,14 +18,17 @@ recorded, never budget cut-offs, and the search order is unchanged, so
 certificates are identical with and without the memo.
 
 The second engine is a classical branch-and-bound vertex coloring with
-saturation-degree ordering, a greedy clique precoloring, and the
-first-use color symmetry cap.  The two engines share no code paths, so
-their agreement is a meaningful check; chromatic_number runs every query
-through both and insists they agree.
+a greedy clique precoloring and the first-use color symmetry cap.  It
+and the greedy upper bound pick the next vertex by one rule, DSATUR's
+most saturated vertex (Brelaz 1979), over one adjacency built from the
+view's edges.  The sequence engine shares nothing with them, so the two
+engines' agreement is a meaningful check; chromatic_number runs every
+query through both and insists they agree.
 """
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -34,7 +37,7 @@ from .errors import (
     InvalidVertexError,
     SequenceLengthError,
 )
-from .graphs import CriticalCore, InducedSubgraph, ShiftGraph, Vertex
+from .graphs import CriticalCore, InducedSubgraph, ShiftGraph
 from .sequences import (
     SubsetSequence,
     VertexColoring,
@@ -314,17 +317,30 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
 
 
 def _adjacency(view):
+    """The view's vertex list and, per position in it, its neighbors' positions."""
     verts = view.vertex_list()
-    index = {v: i for i, v in enumerate(verts)}
-    by_first: dict[int, list[int]] = {}
-    by_second: dict[int, list[int]] = {}
-    for t, v in enumerate(verts):
-        by_first.setdefault(v.x, []).append(t)
-        by_second.setdefault(v.y, []).append(t)
-    adj = []
-    for v in verts:
-        adj.append(tuple(by_first.get(v.y, []) + by_second.get(v.x, [])))
-    return verts, index, adj
+    index = {v: t for t, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in verts]
+    for u, w in view.edges():
+        a, b = index[u], index[w]
+        adj[a].append(b)
+        adj[b].append(a)
+    return verts, adj
+
+
+def _most_saturated(colors, nbr_colors, degree) -> int:
+    """DSATUR's choice: the uncolored vertex with the most distinct neighbor colors.
+
+    Ties go to the larger degree, then to the smaller position.
+    """
+    best, best_key = -1, None
+    for t, c in enumerate(colors):
+        if c:
+            continue
+        key = (len(nbr_colors[t]), degree[t], -t)
+        if best_key is None or key > best_key:
+            best, best_key = t, key
+    return best
 
 
 def _greedy_clique(adj) -> list[int]:
@@ -340,7 +356,7 @@ def _greedy_clique(adj) -> list[int]:
 def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> ColorabilityResult:
     """Branch-and-bound proper coloring of a graph view with at most k colors.
 
-    Saturation-degree vertex selection, greedy-clique precoloring, and
+    DSATUR vertex selection, greedy-clique precoloring, and
     new colors admitted only one past the maximum color in use.  Shares
     no machinery with the sequence engine.
     """
@@ -349,7 +365,7 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
         raise InvalidParameterError(f"color count must be nonnegative, got {k!r}")
     if budget is None:
         budget = SearchBudget()
-    verts, _, adj = _adjacency(view)
+    verts, adj = _adjacency(view)
     m = len(verts)
     clock = _Clock(budget)
     if m == 0:
@@ -387,16 +403,6 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
     max_used = len(clique)
     uncolored = m - len(clique)
 
-    def select() -> int:
-        best, best_key = -1, None
-        for t in range(m):
-            if colors[t]:
-                continue
-            key = (len(nbr_colors[t]), degree[t], -t)
-            if best_key is None or key > best_key:
-                best, best_key = t, key
-        return best
-
     def next_color(t: int, after: int, cap: int) -> int:
         for c in range(after + 1, min(k, cap) + 1):
             if c not in nbr_colors[t]:
@@ -407,7 +413,7 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
     exhausted = False
     out_of_budget = False
     if not found:
-        frames: list[list[int]] = [[select(), 0, max_used]]
+        frames: list[list[int]] = [[_most_saturated(colors, nbr_colors, degree), 0, max_used]]
         while frames:
             frame = frames[-1]
             t, cur, prev_max = frame
@@ -431,7 +437,7 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
             if uncolored == 0:
                 found = True
                 break
-            frames.append([select(), 0, max_used])
+            frames.append([_most_saturated(colors, nbr_colors, degree), 0, max_used])
         else:
             exhausted = True
 
@@ -447,9 +453,9 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
 
 
 def greedy_coloring(view, budget: SearchBudget | None = None) -> VertexColoring | None:
-    """Saturation-degree greedy coloring; None if the time budget runs out."""
+    """DSATUR greedy coloring; None if the time budget runs out."""
     view = as_view(view)
-    verts, _, adj = _adjacency(view)
+    verts, adj = _adjacency(view)
     m = len(verts)
     if m == 0:
         return VertexColoring({}, 0)
@@ -462,13 +468,7 @@ def greedy_coloring(view, budget: SearchBudget | None = None) -> VertexColoring 
     while done < m:
         if limit is not None and done % 4096 == 0 and time.monotonic() - start > limit:
             return None
-        best, best_key = -1, None
-        for t in range(m):
-            if colors[t]:
-                continue
-            key = (len(nbr_colors[t]), degree[t], -t)
-            if best_key is None or key > best_key:
-                best, best_key = t, key
+        best = _most_saturated(colors, nbr_colors, degree)
         c = 1
         while c in nbr_colors[best]:
             c += 1
@@ -482,18 +482,17 @@ def greedy_coloring(view, budget: SearchBudget | None = None) -> VertexColoring 
 
 def _has_odd_cycle(view) -> bool:
     """BFS two-layering; True when some component is not bipartite."""
-    verts = view.vertex_list()
-    side: dict[Vertex, int] = {}
-    from collections import deque
-    for s in verts:
-        if s in side:
+    _, adj = _adjacency(view)
+    side = [-1] * len(adj)
+    for s in range(len(adj)):
+        if side[s] >= 0:
             continue
         side[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in view.neighbors(u):
-                if w not in side:
+            for w in adj[u]:
+                if side[w] < 0:
                     side[w] = side[u] ^ 1
                     queue.append(w)
                 elif side[w] == side[u]:
@@ -522,7 +521,7 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
     if greedy is None:
         return ChromaticResult(None, False, None, None,
                                [{"stage": "greedy", "decision": "inconclusive"}])
-    ub = greedy.k if m else 0
+    ub = greedy.k
     lb = 1
     if view.edge_count() > 0:
         lb = 2
@@ -559,25 +558,20 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
             lb = mid + 1
     chi = lb
 
-    if chi not in yes_results and chi > 0:
+    if chi not in yes_results:
         d = query(chi)
         if d == "inconclusive":
             return ChromaticResult(None, False, None, None, queries)
         if d == "no":
             raise ConstructionError(f"{chi}-coloring exists greedily but search refutes it")
-    if chi - 1 >= 0 and (chi - 1) not in refutations:
+    if chi - 1 not in refutations:
         d = query(chi - 1)
         if d == "inconclusive":
             return ChromaticResult(None, False, None, None, queries)
         if d == "yes":
             raise ConstructionError(f"binary search settled chi={chi} but {chi - 1} colors suffice")
 
-    if chi in yes_results:
-        res = yes_results[chi]
-        coloring = res.certificate_coloring
-    else:  # chi == 0, empty edge case handled above; keep greedy as a fallback
-        coloring = greedy
-    coloring = VertexColoring(dict(coloring.colors), chi)
+    coloring = yes_results[chi].certificate_coloring
     if proper_coloring_violation(coloring, view.vertex_list()) is not None:
         raise ConstructionError("final coloring certificate is improper")
     refutation = refutations.get(chi - 1)

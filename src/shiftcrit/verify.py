@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ShiftCritError
-from .graphs import ShiftGraph, Vertex, build_shift_graph, critical_core
+from .graphs import ShiftGraph, build_shift_graph, critical_core
 from .sequences import (
-    SubsetSequence,
     coloring_from_sequence,
     coloring_to_dict,
     construct_deleted_vertex_sequence,
@@ -34,10 +33,21 @@ from .sequences import (
 from .solvers import (
     ColorabilityResult,
     SearchBudget,
+    _adjacency,
     chromatic_number,
     k_colorable_bb,
     k_colorable_via_sequences,
 )
+
+
+def _combined(statuses) -> str:
+    """One status for several: fail beats inconclusive (or no status at all) beats pass."""
+    statuses = list(statuses)
+    if "fail" in statuses:
+        return "fail"
+    if not statuses or "inconclusive" in statuses:
+        return "inconclusive"
+    return "pass"
 
 
 @dataclass
@@ -66,13 +76,7 @@ class TheoremReport:
 
     @property
     def status(self) -> str:
-        if not self.checks:
-            return "inconclusive"
-        if any(c.status == "fail" for c in self.checks):
-            return "fail"
-        if any(c.status == "inconclusive" for c in self.checks):
-            return "inconclusive"
-        return "pass"
+        return _combined(c.status for c in self.checks)
 
     def add(self, claim: str, method: str, status: str,
             ref: str | None = None, payload=None) -> None:
@@ -215,23 +219,14 @@ def verify_core_chromatic(n: int, budget: SearchBudget | None = None) -> Theorem
     return report
 
 
-def _bit_adjacency(g: ShiftGraph) -> tuple[tuple[Vertex, ...], list[int]]:
-    verts = g.vertex_list()
-    index = {v: t for t, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for u, w in g.edges():
-        adj[index[u]] |= 1 << index[w]
-        adj[index[w]] |= 1 << index[u]
-    return verts, adj
-
-
 def _subset_chromatic_table(g: ShiftGraph) -> list[int]:
     """Chromatic number of every induced subgraph, indexed by vertex bitmask.
 
     Plain backtracking per subset with first-use color symmetry; meant
     for the 2^10 subsets of the smallest interesting graph only.
     """
-    verts, adj = _bit_adjacency(g)
+    verts, nbrs = _adjacency(g)
+    adj = [sum(1 << u for u in a) for a in nbrs]
     m = len(verts)
 
     def colorable(members: list[int], k: int) -> bool:
@@ -330,16 +325,9 @@ def verify_uniqueness(n: int, budget: SearchBudget | None = None) -> TheoremRepo
     if n == 2:
         _exhaustive_uniqueness_row(report, n)
 
-    statuses = [a_status] + b_statuses
-    if any(s == "fail" for s in statuses):
-        overall = "fail"
-    elif any(s == "inconclusive" for s in statuses):
-        overall = "inconclusive"
-    else:
-        overall = "pass"
     report.add(f"the core is the unique {n + 1}-vertex-critical induced subgraph",
                "syllogism over (a) core chromatic number, (b) member deletions, "
-               "(c) strict supersets", overall)
+               "(c) strict supersets", _combined([a_status] + b_statuses))
     return report
 
 

@@ -175,6 +175,18 @@ def test_w4_is_5_colorable_with_good_certificate():
     assert is_good(r.certificate_sequence, core4)
 
 
+@pytest.mark.parametrize("X", (build_shift_graph(9), critical_core(3)),
+                         ids=("shift graph 9", "W(3)"))
+def test_search_past_12_colors_runs_without_forward_checking_or_memo(X):
+    # above k = 12 the engine checks left partners directly and keeps no memo
+    r = k_colorable_via_sequences(9, 13, X, TIGHT)
+    assert r.decision == "yes"
+    assert is_good(r.certificate_sequence, X)
+    assert proper_coloring_violation(r.certificate_coloring, X) is None
+    assert r.memo_entries == 0
+    assert k_colorable_bb(X, 13, TIGHT).decision == "yes"
+
+
 def test_memo_keeps_yes_certificate_and_cuts_nodes():
     core4 = critical_core(4)
     g = core4.graph()

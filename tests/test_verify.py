@@ -150,3 +150,40 @@ def test_refutation_rows_for_each_search_outcome():
     assert _refutation_row(yes) == ("fail", None)
     status, payload = _refutation_row(yes, counterexample=True)
     assert status == "fail" and payload is not None
+
+
+def uniqueness_with_one_bad_member(monkeypatch, budget=None, bad=(2, 4)):
+    """verify_uniqueness(2) with the properness check failing on the member `bad`."""
+    from shiftcrit import verify
+
+    real = verify.full_graph_min_coloring_is_proper
+
+    def check(seq, n_points, skip_pair=None):
+        return skip_pair != bad and real(seq, n_points, skip_pair=skip_pair)
+
+    monkeypatch.setattr(verify, "full_graph_min_coloring_is_proper", check)
+    return verify_uniqueness(2, budget)
+
+
+def test_uniqueness_fails_when_a_member_check_fails(monkeypatch):
+    rep = uniqueness_with_one_bad_member(monkeypatch)
+    b_rows = {c.certificate_ref: c.status for c in rep.checks if c.claim.startswith("(b)")}
+    assert b_rows.pop("deleted-vertex:(2,4)") == "fail"
+    assert set(b_rows.values()) == {"pass"}
+    assert rep.checks[-1].claim.startswith("the core is the unique")
+    assert rep.checks[-1].status == "fail"
+    assert rep.status == "fail"
+
+
+def test_fail_beats_inconclusive(monkeypatch):
+    rep = uniqueness_with_one_bad_member(monkeypatch, STARVED)
+    statuses = {c.status for c in rep.checks}
+    assert {"fail", "inconclusive"} <= statuses
+    assert rep.checks[-1].status == "fail"
+    assert rep.status == "fail"
+
+
+def test_empty_report_is_inconclusive():
+    from shiftcrit.verify import TheoremReport
+
+    assert TheoremReport("1", 2).status == "inconclusive"
