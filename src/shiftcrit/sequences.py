@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -152,6 +153,17 @@ class VertexColoring:
         return tuple(sorted(self.colors))
 
 
+def _vertices_of(X) -> Iterable:
+    """The vertices of a ShiftGraph, InducedSubgraph or CriticalCore, or X itself."""
+    if isinstance(X, ShiftGraph):
+        return X.vertices()
+    if isinstance(X, InducedSubgraph):
+        return X.vertices
+    if isinstance(X, CriticalCore):
+        return X.members
+    return X
+
+
 def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
     """Normalize a vertex collection X to sorted (i, j) index pairs.
 
@@ -159,15 +171,7 @@ def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
     a CriticalCore, or any iterable of pairs.  Every pair must fit inside
     a sequence of the given length, i.e. j <= length.
     """
-    if isinstance(X, ShiftGraph):
-        verts: Iterable = X.vertices()
-    elif isinstance(X, InducedSubgraph):
-        verts = X.vertices
-    elif isinstance(X, CriticalCore):
-        verts = X.members
-    else:
-        verts = X
-    pairs = sorted({tuple(as_vertex(v)) for v in verts})
+    pairs = sorted({tuple(as_vertex(v)) for v in _vertices_of(X)})
     if pairs and pairs[-1][1] > length:
         worst = max(j for _, j in pairs)
         raise SequenceLengthError(
@@ -175,14 +179,10 @@ def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _complete_size(X) -> int | None:
-    return X.n_points if isinstance(X, ShiftGraph) else None
-
-
 def goodness_violation(seq: SubsetSequence, X):
     """Lexicographically least constrained (i, j) with a_i contained in a_j, or None."""
-    N = _complete_size(X)
-    if N is not None:
+    if isinstance(X, ShiftGraph):
+        N = X.n_points
         if len(seq) < N:
             raise SequenceLengthError(f"need at least {N} entries, got {len(seq)}")
         return full_graph_goodness_violation(seq, N)
@@ -232,11 +232,7 @@ def proper_coloring_violation(coloring: VertexColoring, X):
     Every vertex of X must be colored.  Edges are scanned through the
     chain rule: (x, y) meets (y, z).
     """
-    verts = sorted({as_vertex(v) for v in
-                    (X.vertices() if isinstance(X, ShiftGraph)
-                     else X.vertices if isinstance(X, InducedSubgraph)
-                     else X.members if isinstance(X, CriticalCore)
-                     else X)})
+    verts = sorted({as_vertex(v) for v in _vertices_of(X)})
     cmap = coloring.colors
     for v in verts:
         if v not in cmap:
@@ -410,6 +406,14 @@ def construct_deleted_vertex_sequence(n: int, v) -> SubsetSequence:
     return seq
 
 
+def _masks_descending(n: int) -> Iterator[int]:
+    """All masks over [1, n] by descending size, ties by descending value, lazily."""
+    # combinations of bit indices listed from the top come in descending value
+    for size in range(n, -1, -1):
+        for bits in combinations(range(n - 1, -1, -1), size):
+            yield sum(1 << b for b in bits)
+
+
 def descending_full_sequence(n: int, length: int) -> SubsetSequence:
     """First `length` subsets of [1, n] by descending size, ties by descending mask.
 
@@ -421,8 +425,7 @@ def descending_full_sequence(n: int, length: int) -> SubsetSequence:
         raise InvalidParameterError(f"ground size must be nonnegative, got {n!r}")
     if not isinstance(length, int) or not 0 <= length <= (1 << n):
         raise InvalidParameterError(f"length must lie in [0, 2^{n}], got {length!r}")
-    masks = sorted(range(1 << n), key=lambda b: (-b.bit_count(), -b))
-    return SubsetSequence(tuple(masks[:length]), n)
+    return SubsetSequence(tuple(islice(_masks_descending(n), length)), n)
 
 
 # ---------------------------------------------------------------------------

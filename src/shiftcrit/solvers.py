@@ -5,11 +5,11 @@ k-coloring of the constrained pairs is the same thing as a length-N
 sequence over subsets of [1, k] avoiding forward containment on those
 pairs, so backtracking over sequence entries decides colorability.  It
 searches all good sequences, with forward checking on the masks still
-placeable at later positions, on an explicit stack rather than by
-recursion.
+placeable at later positions (Haralick & Elliott 1980), on an explicit
+stack rather than by recursion.
 
-With forward checking on, the first engine also keeps a failure memo
-(nogood recording): the state at a branch point is the branch index,
+The first engine also keeps a failure memo (nogood recording, Dechter
+1990): the state at a branch point is the branch index,
 the number of colors introduced so far and the feasible-mask bitset of
 every remaining branch position.  Everything the rest of the search
 reads is a function of that state, so a state whose subtree was
@@ -41,6 +41,7 @@ from .graphs import CriticalCore, InducedSubgraph, ShiftGraph
 from .sequences import (
     SubsetSequence,
     VertexColoring,
+    _masks_descending,
     coloring_from_sequence,
     constraint_pairs,
     is_good,
@@ -156,13 +157,18 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     for the yes/no decision.  A "yes" re-verifies its certificate; "no"
     is exhaustive over all good sequences.
 
-    When forward checking is on (k <= 12) a failure memo records every
-    exhausted branch point under one int key packing the branch index,
-    the first-use color count and feasible[q] for each remaining branch
-    position q.  The key is sound because with forward checking
-    `entries` is read only to build the final certificate.  A memo hit
-    counts as a prune and costs no node; at _MEMO_CAP entries the memo
-    stops growing but is still consulted.
+    Masks are placed over min(k, ceil(log2 n_points)) colors, since the
+    descending full sequence over that many is good for every pair of
+    [1, n_points]; the certificate is still stated over [1, k].  More
+    than 12 colors are rejected: the forward-checking tables hold
+    4^colors bits.
+
+    A failure memo records every exhausted branch point under one int
+    key packing the branch index, the first-use color count and
+    feasible[q] for each remaining branch position q.  The key is sound
+    because with forward checking `entries` is read only to build the
+    final certificate.  A memo hit counts as a prune and costs no node;
+    at _MEMO_CAP entries the memo stops growing but is still consulted.
 
     The search keeps one frame per branch index on an explicit stack,
     so its depth is not bounded by the interpreter's recursion limit.
@@ -173,6 +179,10 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         raise InvalidParameterError(f"color count must be nonnegative, got {k!r}")
     if k > 62:
         raise InvalidParameterError(f"color count {k} exceeds the supported maximum 62")
+    colors = min(k, (n_points - 1).bit_length())
+    if colors > 12:
+        raise InvalidParameterError(f"k = {k} on [1, {n_points}] needs a {colors}-color "
+                                    f"search; at most 12 are supported")
     if budget is None:
         budget = SearchBudget()
     try:
@@ -180,53 +190,41 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     except SequenceLengthError as e:
         raise InvalidVertexError(str(e)) from None
 
-    left_partners: list[tuple[int, ...]] = [()] * (n_points + 1)
-    right_partners: list[tuple[int, ...]] = [()] * (n_points + 1)
-    by_right: dict[int, list[int]] = {}
-    by_left: dict[int, list[int]] = {}
-    for i, j in pairs:
-        by_right.setdefault(j, []).append(i)
-        by_left.setdefault(i, []).append(j)
-    for j, ii in by_right.items():
-        left_partners[j] = tuple(sorted(ii))
-    for i, jj in by_left.items():
-        right_partners[i] = tuple(sorted(jj))
+    right_partners: list[list[int]] = [[] for _ in range(n_points + 1)]
+    for i, j in pairs:  # sorted pairs, so each list ascends
+        right_partners[i].append(j)
     branch_positions = sorted({p for ij in pairs for p in ij})
     n_branch = len(branch_positions)
 
     # forward checking: feasible[p] is the bitset of masks still placeable at p;
     # placing m at i removes every superset of m from each right partner of i
-    use_fc = k <= 12
-    if use_fc:
-        n_masks = 1 << k
-        up_bits = [1 << m for m in range(n_masks)]
-        for t in range(k):
-            tb = 1 << t
-            for m in range(n_masks):
-                if not m & tb:
-                    up_bits[m] |= up_bits[m | tb]
-        all_bits = (1 << n_masks) - 1
-        not_up = [all_bits ^ u for u in up_bits]
-        feasible = [all_bits] * (n_points + 1)
+    n_masks = 1 << colors
+    up_bits = [1 << m for m in range(n_masks)]
+    for t in range(colors):
+        tb = 1 << t
+        for m in range(n_masks):
+            if not m & tb:
+                up_bits[m] |= up_bits[m | tb]
+    all_bits = (1 << n_masks) - 1
+    not_up = [all_bits ^ u for u in up_bits]
+    feasible = [all_bits] * (n_points + 1)
 
-    masks_desc = sorted(range(1 << k), key=lambda b: (-b.bit_count(), -b))
+    masks_desc = list(_masks_descending(colors))
     clock = _Clock(budget)
     entries = [0] * (n_points + 1)
     memo: set[int] = set()
 
-    def memo_key(bi: int, used: int) -> int | None:
-        """Pack the search state at branch index bi into one int (None without FC).
+    def memo_key(bi: int, used: int) -> int:
+        """Pack the search state at branch index bi into one int.
 
         One fixed-width field per remaining position, with bi and the
         color count in the low digits so keys of different depths never
         collide.
         """
-        if not use_fc:
-            return None
         key = 0
         for q in branch_positions[bi:]:
             key = (key << n_masks) | feasible[q]
-        return (key * (k + 1) + used.bit_length()) * n_branch + bi
+        return (key * (colors + 1) + used.bit_length()) * n_branch + bi
 
     def undo(trail) -> None:
         for j, old in reversed(trail):
@@ -235,7 +233,7 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     # frame bi: memo key, remaining candidate masks, colors in use, FC trail of
     # the candidate being explored.  `used` is always a prefix [1, t] by the
     # first-use canonicalization: a candidate may only bring in the next colors.
-    key_at: list[int | None] = [None] * n_branch
+    key_at = [0] * n_branch
     cands_at: list = [None] * n_branch
     used_at = [0] * n_branch
     trail_at: list = [()] * n_branch
@@ -255,15 +253,11 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
             if fresh and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length():
                 clock.prunes += 1
                 continue
-            if use_fc:
-                if not (feasible[p] >> m) & 1:
-                    clock.prunes += 1
-                    continue
-            elif any(entries[i] & ~m == 0 for i in left_partners[p]):
+            if not (feasible[p] >> m) & 1:
                 clock.prunes += 1
                 continue
             trail = ()
-            if use_fc and right_partners[p]:
+            if right_partners[p]:
                 trail = []
                 nu = not_up[m]
                 dead = False
@@ -295,7 +289,7 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
             break
         else:
             # every candidate at bi failed: its subtree is exhausted
-            if key_at[bi] is not None and len(memo) < _MEMO_CAP:
+            if len(memo) < _MEMO_CAP:
                 memo.add(key_at[bi])
             if bi == 0:
                 break

@@ -176,6 +176,12 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
+def test_verify_scope_flags_are_mutually_exclusive():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "2", "--n", "2", "--members-only", "--refute-nonmembers"])
+    assert exc.value.code == 2
+
+
 def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

@@ -35,6 +35,7 @@ from shiftcrit import (
 from shiftcrit import fullgraph
 from shiftcrit.fullgraph import _min_coloring_points
 from shiftcrit.sequences import (
+    _masks_descending,
     format_mask,
     full_graph_goodness_violation,
     full_graph_min_coloring_is_proper,
@@ -447,6 +448,18 @@ def test_descending_full_sequence_shape():
     assert seq == seq_of([{1, 2}, {2}, {1}, set()], 2)
     with pytest.raises(InvalidParameterError):
         descending_full_sequence(2, 5)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lazy_descending_masks_match_the_sorted_order(n):
+    expected = sorted(range(1 << n), key=lambda b: (-b.bit_count(), -b))
+    assert list(_masks_descending(n)) == expected
+
+
+def test_descending_full_sequence_generates_only_what_it_returns():
+    seq = descending_full_sequence(62, 3)
+    full = (1 << 62) - 1
+    assert seq.entries == (full, full ^ 1, full ^ 2)
 
 
 @given(st.integers(1, 5), st.data())

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -175,16 +176,38 @@ def test_w4_is_5_colorable_with_good_certificate():
     assert is_good(r.certificate_sequence, core4)
 
 
+@pytest.mark.parametrize("k", (13, 62))
 @pytest.mark.parametrize("X", (build_shift_graph(9), critical_core(3)),
                          ids=("shift graph 9", "W(3)"))
-def test_search_past_12_colors_runs_without_forward_checking_or_memo(X):
-    # above k = 12 the engine checks left partners directly and keeps no memo
-    r = k_colorable_via_sequences(9, 13, X, TIGHT)
+def test_k_past_log2_n_searches_fewer_colors_and_certifies_k(X, k):
+    # on [1, 9] four colors decide every k >= 4; the certificate still says k
+    r = k_colorable_via_sequences(9, k, X, TIGHT)
     assert r.decision == "yes"
     assert is_good(r.certificate_sequence, X)
     assert proper_coloring_violation(r.certificate_coloring, X) is None
-    assert r.memo_entries == 0
-    assert k_colorable_bb(X, 13, TIGHT).decision == "yes"
+    assert r.certificate_sequence.n == k
+    assert r.certificate_coloring.k == k
+    if k == 13:
+        assert k_colorable_bb(X, k, TIGHT).decision == "yes"
+
+
+def test_many_colors_on_a_small_view_allocate_no_mask_table():
+    tracemalloc.start()
+    try:
+        r = k_colorable_via_sequences(3, 18, build_shift_graph(3), TIGHT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.decision == "yes"
+    assert peak < 1 << 20
+
+
+def test_views_needing_more_than_12_colors_are_rejected():
+    with pytest.raises(InvalidParameterError):
+        k_colorable_via_sequences(8193, 13, [(1, 8193)], TIGHT)
+    r = k_colorable_via_sequences(8193, 12, [(1, 8193)], TIGHT)
+    assert r.decision == "yes"
+    assert is_good(r.certificate_sequence, [(1, 8193)])
 
 
 def test_memo_keeps_yes_certificate_and_cuts_nodes():
