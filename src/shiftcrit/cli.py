@@ -213,8 +213,7 @@ def cmd_verify(args) -> int:
     if args.theorem == "1":
         report = verify_uniqueness(args.n, budget)
     elif args.theorem == "2":
-        refute = args.refute_nonmembers or (False if args.members_only else None)
-        report = verify_criticality(args.n, budget, refute_nonmembers=refute)
+        report = verify_criticality(args.n, budget, members_only=args.members_only)
     elif args.theorem == "3":
         report = verify_core_chromatic(args.n, budget)
     else:
@@ -284,11 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", choices=("1", "2", "3", "formula"))
     p.add_argument("--n", type=int, required=True,
                    help="core exponent, or max ground size for 'formula'")
-    scope = p.add_mutually_exclusive_group()
-    scope.add_argument("--members-only", action="store_true",
-                       help="criticality: skip non-member refutations")
-    scope.add_argument("--refute-nonmembers", action="store_true",
-                       help="criticality: force non-member refutations at any n")
+    p.add_argument("--members-only", action="store_true",
+                   help="criticality: skip the non-member refutations run for n <= 3")
     p.add_argument("--out", default=None, help="write the report as JSON")
     _add_budget_flags(p)
 

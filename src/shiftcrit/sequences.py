@@ -182,10 +182,7 @@ def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
 def goodness_violation(seq: SubsetSequence, X):
     """Lexicographically least constrained (i, j) with a_i contained in a_j, or None."""
     if isinstance(X, ShiftGraph):
-        N = X.n_points
-        if len(seq) < N:
-            raise SequenceLengthError(f"need at least {N} entries, got {len(seq)}")
-        return full_graph_goodness_violation(seq, N)
+        return full_graph_goodness_violation(seq, X.n_points)
     pairs = constraint_pairs(X, len(seq))
     entries = seq.entries
     for i, j in pairs:
@@ -203,26 +200,17 @@ def coloring_from_sequence(seq: SubsetSequence, X) -> VertexColoring:
     """Proper coloring of the vertices X read off a good sequence.
 
     Pair (i, j) receives the least element of a_i \\ a_j.  Raises
-    GoodnessError when the sequence is not X-good.  The result is
-    checked for properness before it is returned.
+    GoodnessError when the sequence is not X-good.  Goodness makes the
+    coloring proper: the color of (i, m) lies outside a_m and the color
+    of (m, l) inside it.  Properness is re-checked independently by
+    `proper_coloring_violation`, as `chromatic_number` does.
     """
     viol = goodness_violation(seq, X)
     if viol is not None:
         raise GoodnessError(viol)
-    pairs = constraint_pairs(X, len(seq))
     entries = seq.entries
-    colors = {}
-    left_bits: dict[int, int] = {}
-    right_bits: dict[int, int] = {}
-    for i, j in pairs:
-        c = smallest_element(entries[i - 1] & ~entries[j - 1])
-        colors[Vertex(i, j)] = c
-        bit = 1 << (c - 1)
-        right_bits[i] = right_bits.get(i, 0) | bit
-        left_bits[j] = left_bits.get(j, 0) | bit
-    for m, bits in left_bits.items():
-        if bits & right_bits.get(m, 0):
-            raise ConstructionError(f"min-element coloring collides across ground point {m}")
+    colors = {Vertex(i, j): smallest_element(entries[i - 1] & ~entries[j - 1])
+              for i, j in constraint_pairs(X, len(seq))}
     return VertexColoring(colors, seq.n)
 
 

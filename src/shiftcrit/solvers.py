@@ -43,6 +43,7 @@ from .sequences import (
     VertexColoring,
     _masks_descending,
     coloring_from_sequence,
+    coloring_to_dict,
     constraint_pairs,
     is_good,
     proper_coloring_violation,
@@ -107,7 +108,6 @@ class ChromaticResult:
     queries: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        from .sequences import coloring_to_dict
         return {
             "chi": self.chi,
             "conclusive": self.conclusive,
@@ -391,7 +391,6 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
             else:
                 d[c] -= 1
 
-    max_used = 0
     for rank, t in enumerate(clique):
         assign(t, rank + 1)
     max_used = len(clique)

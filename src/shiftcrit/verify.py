@@ -100,7 +100,7 @@ def _require_n(n) -> None:
         raise InvalidParameterError(f"verification pipelines need n >= 2, got {n!r}")
 
 
-def _member_rows(report: TheoremReport, n: int, attach: bool, prefix: str = "") -> None:
+def _member_rows(report: TheoremReport, n: int, prefix: str = "") -> None:
     """One constructive check per core vertex: G minus the vertex is n-colorable."""
     core = critical_core(n)
     N = core.n_points
@@ -111,7 +111,7 @@ def _member_rows(report: TheoremReport, n: int, attach: bool, prefix: str = "") 
             seq = construct_deleted_vertex_sequence(n, v)
             ok = full_graph_min_coloring_is_proper(seq, N, skip_pair=(v.x, v.y))
             status = "pass" if ok else "fail"
-            if attach and ok:
+            if n <= 3 and ok:  # sequences attached only where the report stays small
                 payload = sequence_to_dict(seq)
         except ShiftCritError as e:
             status = "fail"
@@ -137,41 +137,39 @@ def _refutation_row(r: ColorabilityResult,
                             "conclusive": False}
 
 
-def _nonmember_rows(report: TheoremReport, n: int, budget: SearchBudget,
-                    prefix: str = "") -> None:
+def _nonmember_rows(report: TheoremReport, n: int, budget: SearchBudget) -> None:
     """Two refutations per non-core vertex: G minus it is still not n-colorable."""
     core = critical_core(n)
     g = core.graph()
     members = core.member_set()
-    all_pairs = [(v.x, v.y) for v in g.vertices()]
-    for v in g.vertices():
+    verts = g.vertex_list()
+    for v in verts:
         if v in members:
             continue
-        rest = [p for p in all_pairs if p != (v.x, v.y)]
+        rest = g.induced([w for w in verts if w != v])
         r_seq = k_colorable_via_sequences(g.n_points, n, rest, budget)
-        r_bb = k_colorable_bb(g.induced([w for w in g.vertices() if w != v]), n, budget)
+        r_bb = k_colorable_bb(rest, n, budget)
         for r, method in ((r_seq, "exhaustive good-sequence search"),
                           (r_bb, "exhaustive branch-and-bound coloring")):
             status, payload = _refutation_row(r)
-            report.add(f"{prefix}no {n}-coloring of the graph minus ({v.x},{v.y})",
+            report.add(f"no {n}-coloring of the graph minus ({v.x},{v.y})",
                        method, status, f"refutation:({v.x},{v.y}):{r.engine}", payload)
 
 
 def verify_criticality(n: int, budget: SearchBudget | None = None,
-                       refute_nonmembers: bool | None = None) -> TheoremReport:
+                       members_only: bool = False) -> TheoremReport:
     """Check that deleting a vertex drops the chromatic number iff it is in the core.
 
-    Core members get the polynomial constructive check.  Non-members
-    need a solver refutation, which defaults to n <= 3; when skipped,
-    the report lists the untested claim explicitly.
+    Core members get the polynomial constructive check.  Non-members are
+    refuted by both engines only for n <= 3, where that search is
+    exhaustive, and not at all with `members_only`; otherwise the report
+    lists the untested claim under `skipped`.
     """
     _require_n(n)
     budget = budget or SearchBudget()
     report = TheoremReport("2", n)
-    _member_rows(report, n, attach=n <= 3)
-    if refute_nonmembers is None:
-        refute_nonmembers = n <= 3
-    if refute_nonmembers:
+    _member_rows(report, n)
+    if n <= 3 and not members_only:
         _nonmember_rows(report, n, budget)
     else:
         total = build_shift_graph(2 ** n + 1).vertex_count() - len(critical_core(n))
@@ -309,7 +307,7 @@ def verify_uniqueness(n: int, budget: SearchBudget | None = None) -> TheoremRepo
     a_status = sub.status
 
     start_b = len(report.checks)
-    _member_rows(report, n, attach=n <= 3, prefix="(b) ")
+    _member_rows(report, n, prefix="(b) ")
     b_statuses = [c.status for c in report.checks[start_b:]]
 
     core = critical_core(n)

@@ -176,9 +176,10 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
-def test_verify_scope_flags_are_mutually_exclusive():
+def test_verify_refute_nonmembers_is_a_usage_error():
+    # the non-member scope follows from n; --members-only is the one scope flag
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "2", "--n", "2", "--members-only", "--refute-nonmembers"])
+        main(["verify", "2", "--n", "2", "--refute-nonmembers"])
     assert exc.value.code == 2
 
 

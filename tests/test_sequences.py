@@ -12,6 +12,7 @@ from shiftcrit import (
     InvalidParameterError,
     InvalidVertexError,
     SequenceLengthError,
+    ShiftGraph,
     SubsetSequence,
     Vertex,
     VertexColoring,
@@ -240,7 +241,12 @@ def test_skip_pair_may_be_any_two_int_sequence():
     assert full_graph_goodness_violation(seq, 5, skip_pair=Vertex(1, 2)) == (1, 3)
 
 
-@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper))
+def goodness_against_shift_graph(seq, n_points):
+    return goodness_violation(seq, ShiftGraph(n_points))
+
+
+@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper,
+                                    goodness_against_shift_graph))
 def test_bulk_kernels_check_the_point_count(kernel):
     seq = seq_of([{1}, set()], 1)
     with pytest.raises(SequenceLengthError):

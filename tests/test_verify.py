@@ -49,9 +49,14 @@ def test_criticality_members_only_lists_the_skip():
     assert "49 vertices" in rep.skipped[0]["claim"]
 
 
-def test_criticality_forced_refutation_flag():
-    rep = verify_criticality(2, refute_nonmembers=False)
+def test_criticality_members_only_flag():
+    rep = verify_criticality(2, members_only=True)
     assert len(rep.checks) == 5 and rep.skipped
+    rep = verify_criticality(3, members_only=True)
+    assert rep.status == "pass"
+    assert len(rep.checks) == 19 and len(rep.skipped) == 1
+    # G on 9 points has 36 vertices, 19 of them in the core
+    assert "17 vertices" in rep.skipped[0]["claim"]
 
 
 def test_core_chromatic_reports():
