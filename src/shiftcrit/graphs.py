@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError, InvalidVertexError
 
@@ -117,17 +117,23 @@ class ShiftGraph:
         v = self.require_vertex(v)
         return (v.x - 1) + (self.n_points - v.y)
 
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Each edge once as (u, w), u before w in vertex_list() order.
+    def edge_ids(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as positions (i, j), i < j, in vertex_list(), ascending.
 
-        Edges come in ascending (id(u), id(w)) order, where id is the
-        1-based position in vertex_list(): rows follow the vertex order,
-        and the partners w = (u.y, z) of a row have z ascending.  The
-        streaming exports rely on this order.
+        The pair (x, y) sits at off[x] + y, off[x] = (x - 1)(2N - x)/2 - x - 1,
+        so the chain x < y < z is the edge (off[x] + y, off[y] + z).  The
+        streaming exports write edges in this order.
         """
-        for v in self.vertices():
-            for z in range(v.y + 1, self.n_points + 1):
-                yield v, Vertex(v.y, z)
+        N = self.n_points
+        off = [(x - 1) * (2 * N - x) // 2 - x - 1 for x in range(N + 1)]
+        return ((off[x] + y, off[y] + z) for x in range(1, N - 1)
+                for y in range(x + 1, N) for z in range(y + 1, N + 1))
+
+    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        """Each edge once as (u, w), in the order of edge_ids()."""
+        verts = self.vertex_list()
+        for i, j in self.edge_ids():
+            yield verts[i], verts[j]
 
     def induced(self, X) -> "InducedSubgraph":
         return InducedSubgraph(self, tuple(X))
@@ -185,11 +191,16 @@ class InducedSubgraph:
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
+    def edge_ids(self) -> Iterator[tuple[int, int]]:
+        """As ShiftGraph.edge_ids: v's partners (v.y, z) follow v in the sorted tuple."""
+        pos = {v: t for t, v in enumerate(self.vertices)}
+        return ((i, pos[w]) for i, v in enumerate(self.vertices)
+                for w in self._by_first.get(v.y, ()))
+
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Each edge once as (u, w), in ascending (id(u), id(w)) order, as ShiftGraph.edges."""
-        for v in self.vertices:
-            for w in self._by_first.get(v.y, ()):
-                yield v, w
+        """Each edge once as (u, w), in the order of edge_ids()."""
+        for i, j in self.edge_ids():
+            yield self.vertices[i], self.vertices[j]
 
 
 @dataclass(frozen=True)
@@ -324,63 +335,46 @@ def _joined(pieces) -> Iterator[str]:
         yield "".join(batch)
 
 
-def _numbering(view):
-    """The vertices of view in id order, and the table the exports number them by.
-
-    Ids run 1, 2, ... in vertex order.  A full ShiftGraph keeps no vertex
-    table: its vertices stream from vertices(), and the table is the list
-    off of N + 1 offsets with id(x, y) = off[x] + y, where
-    off[x] = (x - 1)(2N - x)/2 - x counts the pairs with a smaller first
-    point, less x.  Any other view gets its vertex_list() and a dict from
-    vertex to id.
-    """
-    if isinstance(view, ShiftGraph):
-        N = view.n_points
-        return view.vertices(), [(x - 1) * (2 * N - x) // 2 - x for x in range(N + 1)]
-    verts = view.vertex_list()
-    return verts, {v: i for i, v in enumerate(verts, 1)}
+def _vertices_in_order(view) -> Iterable[Vertex]:
+    """The vertices of view in id order; a full ShiftGraph streams them."""
+    return view.vertices() if isinstance(view, ShiftGraph) else view.vertex_list()
 
 
-def _edge_ids(view, ids, edge_count: int) -> Iterator[tuple[int, int]]:
-    """Id pairs (i, j), i < j, of view.edges(), checked to arrive in ascending order.
+def _edge_ids(pairs, edge_count: int) -> Iterator[tuple[int, int]]:
+    """The position pairs of a view's edge_ids() as 1-based ids, checked to ascend.
 
-    `ids` is the table from _numbering: a list of offsets or a dict.
     Streaming writes the edges in the order the view yields them, so a view
     that breaks the order, or yields other than `edge_count` edges, raises
     ValueError instead of producing unsorted or inconsistent output.
     """
-    offsets = isinstance(ids, list)
     pi = pj = count = 0
-    for u, w in view.edges():
-        # computed inline: a function call per endpoint costs more than the lookups
-        if offsets:
-            i, j = ids[u[0]] + u[1], ids[w[0]] + w[1]
-        else:
-            i, j = ids[u], ids[w]
+    for i, j in pairs:
         if i >= j or i < pi or (i == pi and j <= pj):
-            raise ValueError(f"edges out of ascending id order at {u}-{w}")
+            raise ValueError(f"edge ids out of ascending order at ({i}, {j})")
         pi, pj = i, j
         count += 1
-        yield i, j
+        yield i + 1, j + 1
     if count != edge_count:
-        raise ValueError(f"edges() yielded {count} edges, edge_count() says {edge_count}")
+        raise ValueError(f"edge_ids() yielded {count} edges, edge_count() says {edge_count}")
 
 
 def dimacs_chunks(view) -> Iterator[str]:
     """DIMACS edge-format text for a graph view, with a vertex id legend, in chunks.
 
-    Edges are written as view.edges() yields them, so memory stays
-    O(vertices) for an induced subgraph and O(N) for a full shift graph.
+    Edges are written as view.edge_ids() yields them, so memory stays
+    O(vertices) for an induced subgraph and O(N) for a full shift graph,
+    whose vertices stream from vertices().
     """
-    verts, ids = _numbering(view)
+    verts = _vertices_in_order(view)
     n, m = view.vertex_count(), view.edge_count()
+    edges = _edge_ids(view.edge_ids(), m)
 
     def lines():
         yield "c shift graph: vertices are ordered pairs, (x,y) ~ (y,z)\n"
         for i, v in enumerate(verts, 1):
             yield f"c vertex {i} = ({v.x},{v.y})\n"
         yield f"p edge {n} {m}\n"
-        for i, j in _edge_ids(view, ids, m):
+        for i, j in edges:
             yield f"e {i} {j}\n"
 
     return _joined(lines())
@@ -405,15 +399,16 @@ def graph_json_chunks(view) -> Iterator[str]:
 
     The bytes equal json.dumps(graph_to_json_dict(view), indent=2,
     sort_keys=True) plus a final newline, and memory stays as in
-    dimacs_chunks: edges are written as view.edges() yields them.
+    dimacs_chunks: edges are written as view.edge_ids() yields them.
     """
-    verts, ids = _numbering(view)
+    verts = _vertices_in_order(view)
     n, m = view.vertex_count(), view.edge_count()
+    edges = _edge_ids(view.edge_ids(), m)
 
     def pieces():
         yield f'{{\n  "edge_count": {m},\n  "edges": '
         yield from _json_list(f"    [\n      {i},\n      {j}\n    ]"
-                              for i, j in _edge_ids(view, ids, m))
+                              for i, j in edges)
         yield (f',\n  "n_points": {view.n_points},\n  "vertex_count": {n},'
                '\n  "vertices": ')
         yield from _json_list(

@@ -172,8 +172,8 @@ def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
     a sequence of the given length, i.e. j <= length.
     """
     pairs = sorted({tuple(as_vertex(v)) for v in _vertices_of(X)})
-    if pairs and pairs[-1][1] > length:
-        worst = max(j for _, j in pairs)
+    worst = max((j for _, j in pairs), default=0)
+    if worst > length:
         raise SequenceLengthError(
             f"constraints reach ground index {worst} but the sequence has length {length}")
     return tuple(pairs)

@@ -313,10 +313,8 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
 def _adjacency(view):
     """The view's vertex list and, per position in it, its neighbors' positions."""
     verts = view.vertex_list()
-    index = {v: t for t, v in enumerate(verts)}
     adj: list[list[int]] = [[] for _ in verts]
-    for u, w in view.edges():
-        a, b = index[u], index[w]
+    for a, b in view.edge_ids():
         adj[a].append(b)
         adj[b].append(a)
     return verts, adj

@@ -19,7 +19,6 @@ from shiftcrit import (
     to_dimacs,
 )
 from shiftcrit.graphs import (
-    _numbering,
     core_json_chunks,
     dimacs_chunks,
     graph_json_chunks,
@@ -248,13 +247,13 @@ def test_streamed_core_json_matches_json_dumps():
         assert "".join(core_json_chunks(core)) == want
 
 
-def test_offset_ids_match_vertex_positions():
+def test_shift_graph_edge_ids_are_the_brute_force_chains():
     for n_points in range(2, 41):
         g = build_shift_graph(n_points)
-        verts, off = _numbering(g)
-        assert list(verts) == list(g.vertex_list()) and len(off) == n_points + 1
-        for i, v in enumerate(g.vertex_list(), 1):
-            assert off[v.x] + v.y == i
+        assert [tuple(v) for v in g.vertex_list()] == brute_vertices(n_points)
+        pos = {tuple(v): t for t, v in enumerate(g.vertex_list())}
+        # brute_edges lists (u, w) with u before w, in ascending (u, w) order
+        assert list(g.edge_ids()) == [(pos[u], pos[w]) for u, w in brute_edges(n_points)]
 
 
 @given(st.integers(2, 12), st.data())
@@ -267,10 +266,11 @@ def test_edges_ascend_in_vertex_id_order(n_points, data):
         assert all(i < j for i, j in pairs)
         assert pairs == sorted(set(pairs))
         assert len(pairs) == view.edge_count()
+        assert list(view.edge_ids()) == pairs
 
 
 class OrderedFake:
-    """A view whose edges() lists its edges in the given order."""
+    """A view whose edge_ids() lists its edges in the given order."""
 
     n_points = 4
 
@@ -284,8 +284,9 @@ class OrderedFake:
     def vertex_count(self):
         return 4
 
-    def edges(self):
-        return iter(self._edges)
+    def edge_ids(self):
+        pos = {v: t for t, v in enumerate(self.vertex_list())}
+        return ((pos[u], pos[w]) for u, w in self._edges)
 
     def edge_count(self):
         return self._count

@@ -130,6 +130,11 @@ def test_constraint_length_guard():
     seq = seq_of([{1}, {2}], 2)
     with pytest.raises(SequenceLengthError):
         is_good(seq, [(1, 3)])
+    # pairs sort by (i, j), so the largest j need not sit in the last pair
+    seq = seq_of([{1}, {2}, {1, 2}, set(), {2}], 2)
+    for check in (is_good, goodness_violation, coloring_from_sequence):
+        with pytest.raises(SequenceLengthError):
+            check(seq, [(1, 10), (2, 3)])
 
 
 # --- bulk kernels over the whole shift graph ------------------------------

@@ -10,6 +10,7 @@ from shiftcrit import solvers
 from shiftcrit import (
     ConstructionError,
     InvalidParameterError,
+    InvalidVertexError,
     SearchBudget,
     SubsetSequence,
     Vertex,
@@ -210,6 +211,12 @@ def test_views_needing_more_than_12_colors_are_rejected():
     assert is_good(r.certificate_sequence, [(1, 8193)])
 
 
+@pytest.mark.parametrize("pairs", ([(1, 6)], [(1, 10), (2, 3)]), ids=("last pair", "earlier pair"))
+def test_pairs_past_the_ground_are_rejected(pairs):
+    with pytest.raises(InvalidVertexError):
+        k_colorable_via_sequences(5, 3, pairs, TIGHT)
+
+
 def test_memo_keeps_yes_certificate_and_cuts_nodes():
     core4 = critical_core(4)
     g = core4.graph()
@@ -285,6 +292,18 @@ def dense_instances(draw):
     dropped = set(draw(st.lists(st.sampled_from(everything), unique=True,
                                 max_size=2 * len(everything) // 3)))
     return g, [v for v in everything if v not in dropped]
+
+
+@given(dense_instances())
+@settings(max_examples=60)
+def test_adjacency_rows_are_the_neighbor_positions(case):
+    g, verts = case
+    for view in (g, induced_subgraph(g, verts)):
+        got_verts, adj = solvers._adjacency(view)
+        assert got_verts == view.vertex_list()
+        pos = {v: t for t, v in enumerate(got_verts)}
+        for t, v in enumerate(got_verts):
+            assert sorted(adj[t]) == sorted(pos[w] for w in view.neighbors(v))
 
 
 @given(dense_instances(), st.integers(2, 4))
