@@ -15,8 +15,8 @@ graph n-colorable, and the descending enumeration of all subsets which
 witnesses the general chromatic upper bound.
 
 Subsets are stored as bitmasks: bit t - 1 stands for the element t.
-The bulk goodness and properness checks over a whole shift graph live
-in `fullgraph` and are re-exported here.
+The bulk goodness check over a whole shift graph is the bitset kernel
+of `fullgraph`, which this module imports when it loads.
 """
 from __future__ import annotations
 
@@ -33,8 +33,7 @@ from .errors import (
     InvalidVertexError,
     SequenceLengthError,
 )
-# both re-exported: callers import the bulk checks from here
-from .fullgraph import full_graph_goodness_violation, full_graph_min_coloring_is_proper
+from .fullgraph import full_graph_goodness_violation
 from .graphs import CriticalCore, InducedSubgraph, ShiftGraph, Vertex, as_vertex, critical_core
 
 # the solvers' limit of 62 colors; the checks here work on Python ints
@@ -212,6 +211,19 @@ def coloring_from_sequence(seq: SubsetSequence, X) -> VertexColoring:
     colors = {Vertex(i, j): smallest_element(entries[i - 1] & ~entries[j - 1])
               for i, j in constraint_pairs(X, len(seq))}
     return VertexColoring(colors, seq.n)
+
+
+def full_graph_min_coloring_is_proper(seq: SubsetSequence, n_points: int,
+                                      skip_pair: tuple[int, int] | None = None) -> bool:
+    """True when the min-element coloring colors every pair of [1, n_points] but skip_pair.
+
+    The pair (i, j) gets the least element of a_i \\ a_j, and no color
+    when a_i is contained in a_j; so every pair is colored exactly when
+    the sequence is good on them, and the coloring is then proper, as in
+    `coloring_from_sequence`.  Invalid arguments raise the errors of
+    `full_graph_goodness_violation`.
+    """
+    return full_graph_goodness_violation(seq, n_points, skip_pair) is None
 
 
 def proper_coloring_violation(coloring: VertexColoring, X):

@@ -56,7 +56,7 @@ def test_chi_loads_no_verify_and_no_diagram():
                                   ("verify", "3", "--n", "2"), ("verify", "formula", "--n", "9")),
                          ids=" ".join)
 def test_verify_commands_load_no_numpy(argv):
-    # each of these runs a bulk goodness or properness check
+    # each of these runs the bulk goodness check of `fullgraph`
     loaded = set(json.loads(fresh_python(LOADED_AFTER, *argv)))
     assert {"shiftcrit.fullgraph", "shiftcrit.verify"} <= loaded
     assert "numpy" not in loaded
@@ -158,11 +158,9 @@ def test_wrappers_set_before_the_first_command_are_called(tmp_path):
 
 
 # names a module imports only for callers that look them up there: the
-# benchmark's tracer wraps the two exports in `cli`, and callers import the
-# bulk checks from `sequences`
+# benchmark's tracer wraps the two exports in `cli`
 REEXPORTS = {
     "cli": {"graph_to_json_dict", "to_dimacs"},
-    "sequences": {"full_graph_min_coloring_is_proper"},
 }
 
 

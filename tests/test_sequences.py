@@ -34,7 +34,6 @@ from shiftcrit import (
     sequence_to_dict,
 )
 from shiftcrit import fullgraph
-from shiftcrit.fullgraph import _min_coloring_points
 from shiftcrit.sequences import (
     _masks_descending,
     format_mask,
@@ -124,6 +123,8 @@ def test_skip_pair_is_exempt():
     seq = seq_of([{1}, {1}], 1)
     assert full_graph_goodness_violation(seq, 2) == (1, 2)
     assert full_graph_goodness_violation(seq, 2, skip_pair=(1, 2)) is None
+    assert not full_graph_min_coloring_is_proper(seq, 2)
+    assert full_graph_min_coloring_is_proper(seq, 2, skip_pair=(1, 2))
 
 
 def test_constraint_length_guard():
@@ -177,10 +178,13 @@ def kernel_inputs(draw, max_len=40):
     return seq, n_points, skip
 
 
-# the least violation is (i, i + 1), skipped or not; then the skipped
-# pair is the only violation, and the only pair with its color
+# three sequences that fail goodness, each as it is and with its least
+# violation skipped (then only the second sequence is good), and one
+# skipped pair that is no violation
 EDGE_CASES = [(seq_of([{1}, {1}, {1}], 1), 3, None), (seq_of([{1}, {1}, {1}], 1), 3, (1, 2)),
-              (seq_of([{1}, {1}, set()], 1), 3, (1, 2)), (seq_of([{1}, set(), {1}], 1), 3, (1, 2))]
+              (seq_of([{1}, {1}, set()], 1), 3, None), (seq_of([{1}, {1}, set()], 1), 3, (1, 2)),
+              (seq_of([{1}, set(), {1}], 1), 3, None), (seq_of([{1}, set(), {1}], 1), 3, (1, 3)),
+              (seq_of([{1}, set(), {1}], 1), 3, (1, 2))]
 
 
 def with_edge_cases(test):
@@ -202,18 +206,18 @@ def test_full_graph_goodness_matches_the_brute_least_pair(inp):
 
 @with_edge_cases
 @given(kernel_inputs())
-def test_min_coloring_matches_the_per_chain_oracle(inp):
+def test_min_coloring_is_proper_and_colors_every_pair_iff_good(inp):
     seq, n_points, skip = inp
     sets = as_sets(seq.entries)
-    entering, leaving = [0] * n_points, [0] * n_points
-    for (i, j), c in brute_min_coloring(sets, n_points, skip).items():
-        leaving[i - 1] |= 1 << (c - 1)
-        entering[j - 1] |= 1 << (c - 1)
-    want = brute_min_coloring_is_proper(sets, n_points, skip)
+    # the lemma: the min-element coloring is always proper ...
+    assert brute_min_coloring_is_proper(sets, n_points, skip)
+    colors = {Vertex(i, j): c for (i, j), c in brute_min_coloring(sets, n_points, skip).items()}
+    assert proper_coloring_violation(VertexColoring(colors, seq.n), colors) is None
+    # ... and colors every pair but the skipped one exactly when the sequence is good
+    want = brute_least_violation(sets, all_pairs(n_points), skip) is None
     # grounds up to _TABLE_MAX_GROUND use the mask tables; check the other path on them too
     for cap in (fullgraph._TABLE_MAX_GROUND, -1):
         with mock.patch.object(fullgraph, "_TABLE_MAX_GROUND", cap):
-            assert _min_coloring_points(seq.entries[:n_points], seq.n, skip) == (entering, leaving)
             assert full_graph_min_coloring_is_proper(seq, n_points, skip_pair=skip) == want
 
 
