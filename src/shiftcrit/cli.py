@@ -44,21 +44,17 @@ from .graphs import (
     to_dimacs,
 )
 
-# the submodule of each name a command imports on first use (see _need)
-_LAZY = {
-    "DiagramSpec": "diagram",
-    "render_svg": "diagram",
-    "SearchBudget": "solvers",
-    "chromatic_number": "solvers",
-    "verify_chromatic_formula": "verify",
-    "verify_core_chromatic": "verify",
-    "verify_criticality": "verify",
-    "verify_uniqueness": "verify",
-}
+# the names a command imports on first use (see _need); the package knows
+# the submodule of each
+_LAZY = frozenset({
+    "DiagramSpec", "render_svg", "SearchBudget", "chromatic_number",
+    "verify_chromatic_formula", "verify_core_chromatic", "verify_criticality",
+    "verify_uniqueness",
+})
 
 
 def _need(*names: str) -> None:
-    """Bind each of `names` in this module from its submodule, unless it is bound already.
+    """Bind each of `names` in this module from the package, unless it is bound already.
 
     A name already bound is left alone, so a function set on this module
     (a wrapper, a test double) stays the one the commands call: they look
@@ -67,7 +63,7 @@ def _need(*names: str) -> None:
     g = globals()
     for name in names:
         if name not in g:
-            g[name] = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+            g[name] = getattr(importlib.import_module(__package__), name)
 
 
 def __getattr__(name: str):

@@ -10,9 +10,9 @@ alone `verify 2 --n 7 --members-only` takes more than three times as
 long.  Entries are bitmasks as in `sequences`: bit t - 1 stands for the
 element t.
 
-`sequences` imports this module when it loads and re-exports the check,
-so every command that loads `sequences` (`chi` and `verify` among them)
-loads it too.
+`sequences` imports this module when it loads, so `chi` and `verify`
+load it too.  The verify member rows call it once per deleted-vertex
+sequence, through `sequences.full_graph_min_coloring_is_proper`.
 """
 from __future__ import annotations
 

@@ -188,6 +188,40 @@ def test_fail_beats_inconclusive(monkeypatch):
     assert rep.status == "fail"
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_each_member_certificate_is_checked_once(monkeypatch, n):
+    from shiftcrit import critical_core, sequences
+
+    calls = []
+    real = sequences.full_graph_goodness_violation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "full_graph_goodness_violation", counted)
+    rep = verify_criticality(n, members_only=True)
+    assert rep.status == "pass"
+    assert len(calls) == len(critical_core(n))
+
+
+def test_member_row_fails_on_a_sequence_built_for_another_member(monkeypatch):
+    from shiftcrit import Vertex, verify
+
+    real = verify.construct_deleted_vertex_sequence
+    bad, other = Vertex(3, 5), Vertex(2, 3)
+
+    def swapped(n, v):
+        return real(n, other if v == bad else v)
+
+    monkeypatch.setattr(verify, "construct_deleted_vertex_sequence", swapped)
+    rep = verify_criticality(3, members_only=True)
+    rows = {c.certificate_ref: c.status for c in rep.checks}
+    assert rows.pop("deleted-vertex:(3,5)") == "fail"
+    assert len(rows) == 18 and set(rows.values()) == {"pass"}
+    assert rep.status == "fail"
+
+
 def test_empty_report_is_inconclusive():
     from shiftcrit.verify import TheoremReport
 
