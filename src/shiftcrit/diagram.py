@@ -120,7 +120,7 @@ def render_svg(spec: DiagramSpec) -> str:
     out += grid
 
     out.append('<g class="cells" fill="none" stroke="#787878" stroke-width="1">')
-    for v in core.members:
+    for v in core.iter_members():
         out.append(f'<rect class="cell" data-x="{v.x}" data-y="{v.y}" '
                    f'x="{_fmt(mx(v.x))}" y="{_fmt(my(k - v.y + 2))}" '
                    f'width="{cs}" height="{cs}"/>')

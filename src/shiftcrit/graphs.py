@@ -18,10 +18,10 @@ induced subgraph whose chromatic number still exceeds n.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -43,9 +43,6 @@ class Interval(NamedTuple):
 
     lo: int
     hi: int
-
-    def covers(self, t: int) -> bool:
-        return self.lo <= t <= self.hi
 
 
 def as_vertex(v) -> Vertex:
@@ -207,8 +204,9 @@ class InducedSubgraph:
 class CriticalCore:
     """The critical vertex set W of the shift graph on [1, 2^n + 1].
 
-    Membership is arithmetic: (x, y) is in W iff y <= reach(x).  The
-    member tuple and set are built only when first asked for.
+    A value of n and the intervals I_0, ..., I_n that holds no member
+    data: every question about W is arithmetic on the intervals, and
+    (x, y) is in W iff y <= reach(x).
     """
 
     n: int
@@ -236,16 +234,9 @@ class CriticalCore:
             for y in range(x + 1, self.reach(x) + 1):
                 yield Vertex(x, y)
 
-    @cached_property
+    @property
     def members(self) -> tuple[Vertex, ...]:
         return tuple(self.iter_members())
-
-    @cached_property
-    def _member_set(self) -> frozenset[Vertex]:
-        return frozenset(self.members)
-
-    def member_set(self) -> frozenset[Vertex]:
-        return self._member_set
 
     def __contains__(self, v) -> bool:
         try:
@@ -264,12 +255,16 @@ class CriticalCore:
         return InducedSubgraph(self.graph(), self.members)
 
     def least_interval_index(self, v) -> int:
-        """Smallest l such that both endpoints of v lie in I_l."""
+        """Smallest l such that both endpoints of v lie in I_l.
+
+        hi(I_l) = 2^n + 2 - 2^(n-l) ascends with l, so the least l with
+        y <= hi(I_l), i.e. 2^(n-l) <= 2^n + 2 - y, is n + 1 - bit_length(2^n + 2 - y);
+        for a member v that I_l holds x too, as lo(I_l) also ascends.
+        """
         v = as_vertex(v)
-        for l, iv in enumerate(self.intervals):
-            if iv.covers(v.x) and iv.covers(v.y):
-                return l
-        raise InvalidVertexError(f"{v} is not in the critical core for n={self.n}")
+        if v not in self:
+            raise InvalidVertexError(f"{v} is not in the critical core for n={self.n}")
+        return self.n + 1 - (2 ** self.n + 2 - v.y).bit_length()
 
     def to_json_dict(self) -> dict:
         return {
@@ -295,12 +290,14 @@ def induced_subgraph(graph: ShiftGraph, X) -> InducedSubgraph:
     return graph.induced(X)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def critical_core(n: int) -> CriticalCore:
     """Critical core for ground interval [1, 2^n + 1]; needs n >= 2.
 
     A pair (x, y) belongs to the core iff some interval I_l contains both
     endpoints, which happens iff y <= max{hi(I_l) : x in I_l}.  Only the
-    intervals are built; see CriticalCore.reach.
+    intervals are built; see CriticalCore.reach.  Cached per n; typed=True
+    keeps critical_core(n=2.0) from returning the entry of critical_core(n=2).
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"critical core needs n >= 2, got {n!r}")

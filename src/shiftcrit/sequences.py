@@ -160,7 +160,7 @@ def _vertices_of(X) -> Iterable:
     if isinstance(X, InducedSubgraph):
         return X.vertices
     if isinstance(X, CriticalCore):
-        return X.members
+        return X.iter_members()
     return X
 
 
@@ -334,11 +334,6 @@ def is_saturated(seq: SubsetSequence) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cached_core(n: int) -> CriticalCore:
-    return critical_core(n)
-
-
-@lru_cache(maxsize=None)
 def _size_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """All masks over [1, n] by descending cardinality, ties by ascending
     value, and the rank table: rank[b] is the index of mask b in that order."""
@@ -384,7 +379,7 @@ def construct_deleted_vertex_sequence(n: int, v) -> SubsetSequence:
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"deleted-vertex construction needs n >= 2, got {n!r}")
-    core = _cached_core(n)
+    core = critical_core(n)
     v = as_vertex(v)
     if v not in core:
         raise InvalidVertexError(f"{v} is not in the critical core for n={n}")
@@ -443,7 +438,11 @@ def sequence_from_dict(d: dict) -> SubsetSequence:
         raise InvalidParameterError("sequence document needs keys 'n' and 'entries'") from None
     if not isinstance(n, int):
         raise InvalidParameterError(f"'n' must be an integer, got {n!r}")
-    return SubsetSequence.from_sets(entries, n)
+    try:
+        return SubsetSequence.from_sets(entries, n)
+    except TypeError:
+        raise InvalidParameterError("'entries' must be a list of element lists, "
+                                    f"got {entries!r}") from None
 
 
 def coloring_to_dict(coloring: VertexColoring) -> dict:
@@ -458,11 +457,15 @@ def coloring_from_dict(d: dict) -> VertexColoring:
         rows = d["colors"]
     except (TypeError, KeyError):
         raise InvalidParameterError("coloring document needs keys 'k' and 'colors'") from None
+    if not isinstance(rows, list):
+        raise InvalidParameterError(f"'colors' must be a list of rows, got {rows!r}")
     colors = {}
     for row in rows:
         try:
-            v = Vertex(row["x"], row["y"])
-            colors[v] = row["c"]
+            v, c = Vertex(row["x"], row["y"]), row["c"]
         except (TypeError, KeyError):
             raise InvalidParameterError(f"bad coloring row: {row!r}") from None
+        if v in colors:
+            raise InvalidParameterError(f"coloring document colors {v} twice")
+        colors[v] = c
     return VertexColoring(colors, k)

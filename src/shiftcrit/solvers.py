@@ -41,6 +41,7 @@ from .graphs import CriticalCore, InducedSubgraph, ShiftGraph
 from .sequences import (
     SubsetSequence,
     VertexColoring,
+    _MAX_GROUND,
     _masks_descending,
     coloring_from_sequence,
     coloring_to_dict,
@@ -177,8 +178,8 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         raise InvalidParameterError(f"ground interval needs N >= 2, got {n_points!r}")
     if not isinstance(k, int) or k < 0:
         raise InvalidParameterError(f"color count must be nonnegative, got {k!r}")
-    if k > 62:
-        raise InvalidParameterError(f"color count {k} exceeds the supported maximum 62")
+    if k > _MAX_GROUND:
+        raise InvalidParameterError(f"color count {k} exceeds the supported maximum {_MAX_GROUND}")
     colors = min(k, (n_points - 1).bit_length())
     if colors > 12:
         raise InvalidParameterError(f"k = {k} on [1, {n_points}] needs a {colors}-color "

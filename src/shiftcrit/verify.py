@@ -27,7 +27,6 @@ from .sequences import (
     descending_full_sequence,
     full_graph_goodness_violation,
     full_graph_min_coloring_is_proper,
-    goodness_violation,
     sequence_to_dict,
 )
 from .solvers import (
@@ -104,7 +103,7 @@ def _member_rows(report: TheoremReport, n: int, prefix: str = "") -> None:
     """One constructive check per core vertex: G minus the vertex is n-colorable."""
     core = critical_core(n)
     N = core.n_points
-    for v in core.members:
+    for v in core.iter_members():
         ref = f"deleted-vertex:({v.x},{v.y})"
         payload = None
         try:
@@ -141,10 +140,9 @@ def _nonmember_rows(report: TheoremReport, n: int, budget: SearchBudget) -> None
     """Two refutations per non-core vertex: G minus it is still not n-colorable."""
     core = critical_core(n)
     g = core.graph()
-    members = core.member_set()
     verts = g.vertex_list()
     for v in verts:
-        if v in members:
+        if v in core:
             continue
         rest = g.induced([w for w in verts if w != v])
         r_seq = k_colorable_via_sequences(g.n_points, n, rest, budget)
@@ -172,7 +170,8 @@ def verify_criticality(n: int, budget: SearchBudget | None = None,
     if n <= 3 and not members_only:
         _nonmember_rows(report, n, budget)
     else:
-        total = build_shift_graph(2 ** n + 1).vertex_count() - len(critical_core(n))
+        core = critical_core(n)
+        total = core.graph().vertex_count() - len(core)
         report.skipped.append({
             "claim": f"for all {total} vertices outside the core, deletion keeps the "
                      f"chromatic number at {n + 1}",
@@ -181,19 +180,9 @@ def verify_criticality(n: int, budget: SearchBudget | None = None,
     return report
 
 
-def verify_core_chromatic(n: int, budget: SearchBudget | None = None) -> TheoremReport:
-    """Check that the core subgraph has chromatic number exactly n + 1.
-
-    The upper bound is the descending full sequence, re-checked for
-    goodness over the whole graph.  The lower bound is an exhaustive
-    search over all good sequences at k = n with the memoized sequence
-    engine.  It is recorded under `lower:saturated-refutation`: saturated
-    sequences are among the good ones, so the record also refutes them,
-    and readers of earlier reports find it under the same name.
-    """
-    _require_n(n)
-    budget = budget or SearchBudget()
-    report = TheoremReport("3", n)
+def _core_chromatic_rows(report: TheoremReport, n: int, budget: SearchBudget,
+                         prefix: str = "") -> None:
+    """The upper and the lower bound row of chi(W(n)) = n + 1; see verify_core_chromatic."""
     core = critical_core(n)
     N = core.n_points
 
@@ -204,16 +193,32 @@ def verify_core_chromatic(n: int, budget: SearchBudget | None = None) -> Theorem
         payload = {"sequence": sequence_to_dict(seq)}
         if n <= 4:
             payload["coloring"] = coloring_to_dict(coloring_from_sequence(seq, core))
-    report.add(f"the core subgraph is {n + 1}-colorable",
+    report.add(f"{prefix}the core subgraph is {n + 1}-colorable",
                "descending full sequence over the whole graph; goodness re-checked",
                "pass" if viol is None else "fail",
                "upper:descending-sequence", payload)
 
     status, payload = _refutation_row(k_colorable_via_sequences(N, n, core, budget),
                                       counterexample=True)
-    report.add(f"no {n}-coloring of the core subgraph exists",
+    report.add(f"{prefix}no {n}-coloring of the core subgraph exists",
                "exhaustive search over good sequences",
                status, "lower:saturated-refutation", payload)
+
+
+def verify_core_chromatic(n: int, budget: SearchBudget | None = None) -> TheoremReport:
+    """Check that the core subgraph has chromatic number exactly n + 1.
+
+    The upper bound is the descending full sequence, re-checked for
+    goodness over the whole graph.  The lower bound is an exhaustive
+    search over all good sequences at k = n with the memoized sequence
+    engine.  It is recorded under `lower:saturated-refutation`: saturated
+    sequences are among the good ones, so the record also refutes them,
+    and readers of earlier reports find it under the same name.  These
+    two rows are also step (a) of verify_uniqueness.
+    """
+    _require_n(n)
+    report = TheoremReport("3", n)
+    _core_chromatic_rows(report, n, budget or SearchBudget())
     return report
 
 
@@ -261,7 +266,6 @@ def _exhaustive_uniqueness_row(report: TheoremReport, n: int) -> None:
     g = build_shift_graph(2 ** n + 1)
     core = critical_core(n)
     verts = g.vertex_list()
-    index = {v: t for t, v in enumerate(verts)}
     table = _subset_chromatic_table(g)
     target = n + 1
     critical = []
@@ -270,9 +274,7 @@ def _exhaustive_uniqueness_row(report: TheoremReport, n: int) -> None:
             continue
         if all(table[S & ~(1 << t)] < target for t in range(len(verts)) if S >> t & 1):
             critical.append(S)
-    core_mask = 0
-    for v in core.members:
-        core_mask |= 1 << index[v]
+    core_mask = sum(1 << t for t, v in enumerate(verts) if v in core)
     ok = critical == [core_mask]
     report.add(f"exactly one of {1 << len(verts)} induced subgraphs is "
                f"{target}-vertex-critical, and it is the core",
@@ -287,34 +289,28 @@ def _exhaustive_uniqueness_row(report: TheoremReport, n: int) -> None:
 def verify_uniqueness(n: int, budget: SearchBudget | None = None) -> TheoremReport:
     """Check that the core is the unique minimal subgraph needing n + 1 colors.
 
-    Steps: (a) the core subgraph has chromatic number n + 1; (b) every
-    core vertex is deletable down to n colors, so any subgraph needing
-    n + 1 colors contains the whole core; (c) strict supersets of the
-    core are never vertex-critical, since deleting the extra vertex
-    falls back to the core and (a) applies.  At n = 2 an independent
-    exhaustive enumeration of all induced subgraphs cross-checks the
-    conclusion.
+    Steps: (a) the rows of verify_core_chromatic; (b) the member rows of
+    verify_criticality: every core vertex is deletable down to n colors,
+    so any subgraph needing n + 1 colors contains the whole core; (c) for
+    each v not in the core, the core plus v is not vertex-critical, since
+    deleting v falls back to the core and (a) applies.  At n = 2 an
+    independent exhaustive enumeration of all induced subgraphs
+    cross-checks the conclusion.
     """
     _require_n(n)
     budget = budget or SearchBudget()
     report = TheoremReport("1", n)
 
-    sub = verify_core_chromatic(n, budget)
-    for c in sub.checks:
-        report.checks.append(CheckRecord("(a) " + c.claim, c.method, c.status,
-                                         c.certificate_ref))
-    report.certificates.update(sub.certificates)
-    a_status = sub.status
+    _core_chromatic_rows(report, n, budget, prefix="(a) ")
+    a_status = report.status
 
     start_b = len(report.checks)
     _member_rows(report, n, prefix="(b) ")
     b_statuses = [c.status for c in report.checks[start_b:]]
 
     core = critical_core(n)
-    g = core.graph()
-    members = core.member_set()
-    for v in g.vertices():
-        if v in members:
+    for v in core.graph().vertices():
+        if v in core:
             continue
         report.add(f"(c) the core plus ({v.x},{v.y}) is not vertex-critical: deleting "
                    f"({v.x},{v.y}) returns the core, which still needs {n + 1} colors",
@@ -368,7 +364,7 @@ def verify_chromatic_formula(n_max: int, budget: SearchBudget | None = None) -> 
     for N in range(10, n_max + 1):
         k = (N - 1).bit_length()
         seq = descending_full_sequence(k, N)
-        ok = goodness_violation(seq, build_shift_graph(N)) is None
+        ok = full_graph_goodness_violation(seq, N) is None
         report.add(f"chi of the shift graph on [1, {N}] is at most {k}",
                    "descending full sequence re-checked by the goodness test",
                    "pass" if ok else "fail")

@@ -1,9 +1,11 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
 import os
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -19,6 +21,7 @@ from shiftcrit.verify import verify_criticality
 from oracles import sorted_dimacs
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def run(capsys, *argv):
@@ -339,3 +342,28 @@ def test_out_bytes_match_recorded_digests(capsys, tmp_path, argv):
     target = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(target))[0] == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_OUT_SHA256[argv]
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workloads.py, loaded by path; it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+@pytest.mark.parametrize("workload", ["members", "export"])
+def test_benchmark_outputs_match_recorded_digests(capsys, tmp_path, bench_workloads,
+                                                  workload, smoke):
+    # the members and export outputs at the benchmark's own sizes, seed 0,
+    # as record_digests.py builds them
+    digests = bench_workloads.load_digests()
+    for cmd in bench_workloads.build(workload, 0, smoke, {}):
+        target = tmp_path / cmd.out
+        argv = [str(target) if a == "{out}" else a for a in cmd.argv]
+        assert run(capsys, *argv)[0] == 0, argv
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digests[cmd.digest], argv

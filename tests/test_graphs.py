@@ -178,6 +178,16 @@ def test_arithmetic_membership_matches_oracle():
             assert bad not in core
 
 
+def test_core_is_one_cached_value_of_n_and_intervals():
+    core = critical_core(4)
+    assert critical_core(4) is core
+    assert len(core.members) == len(core) == 87
+    assert Vertex(2, 7) in core
+    assert core.induced().vertex_count() == 87
+    assert core.least_interval_index(Vertex(2, 7)) == 1
+    assert vars(core) == {"n": 4, "intervals": core.intervals}
+
+
 def test_least_interval_index():
     core = critical_core(3)
     assert core.least_interval_index(Vertex(2, 3)) == 1
@@ -308,8 +318,12 @@ def test_streaming_rejects_out_of_order_or_miscounted_edges():
 
 
 def test_bad_parameters():
-    for bad in (1, 0, -3, 2.5, "4"):
+    critical_core(2)
+    critical_core(n=2)  # both cached: 2.0 below must not hit their entries
+    for bad in (1, 0, -3, 2.5, 2.0, True, "4"):
         with pytest.raises(InvalidParameterError):
             build_shift_graph(bad)
         with pytest.raises(InvalidParameterError):
             critical_core(bad)
+        with pytest.raises(InvalidParameterError):
+            critical_core(n=bad)

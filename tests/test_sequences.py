@@ -500,6 +500,20 @@ def test_sequence_json_shape():
     assert d == {"n": 2, "entries": [[1, 2], [1]]}
 
 
+@pytest.mark.parametrize("read, doc, match", [
+    (sequence_from_dict, {"n": 3, "entries": 5}, "entries"),
+    (sequence_from_dict, {"n": 3, "entries": [5]}, "entries"),
+    (sequence_from_dict, {"n": 3, "entries": [[1, 2], None]}, "entries"),
+    (coloring_from_dict, {"k": 3, "colors": 5}, "colors"),
+    (coloring_from_dict, {"k": 3, "colors": [{"x": 1, "y": 2, "c": 1},
+                                             {"x": 2, "y": 3, "c": 2},
+                                             {"x": 1, "y": 2, "c": 3}]}, r"\(1,2\) twice"),
+], ids=["entries-int", "entry-int", "entry-none", "colors-int", "duplicate-row"])
+def test_readers_reject_malformed_documents(read, doc, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        read(doc)
+
+
 def test_coloring_json_round_trip():
     col = VertexColoring({Vertex(1, 2): 1, Vertex(2, 3): 2}, 2)
     d = coloring_to_dict(col)

@@ -116,7 +116,7 @@ def test_deleting_core_vertex_drops_chi():
         sub = g.induced([w for w in g.vertices() if w != v])
         assert chromatic_number(sub, TIGHT).chi == 2
     for v in g.vertices():
-        if v in core.member_set():
+        if v in core:
             continue
         sub = g.induced([w for w in g.vertices() if w != v])
         assert chromatic_number(sub, TIGHT).chi == 3
