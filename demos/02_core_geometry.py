@@ -17,7 +17,7 @@ from shiftcrit import DiagramSpec, critical_core, render_svg
 for n in (2, 3, 4):
     core = critical_core(n)
     spans = ", ".join(f"[{iv.lo},{iv.hi}]" for iv in core.intervals)
-    print(f"n={n}: intervals {spans}  -> {len(core)} members")
+    print(f"n={n}: intervals {spans}  -> {core.vertex_count()} members")
 
 # -- membership is a containment test --------------------------------------
 
@@ -26,11 +26,16 @@ for pair in ((2, 5), (4, 8), (3, 7), (1, 9)):
     mark = "in W" if pair in core else "not in W"
     print(f"({pair[0]},{pair[1]}): {mark}")
 
+# -- the core is a graph view, like the full shift graph ---------------------
+
+print(f"W(3) as a graph: {core.vertex_count()} vertices, {core.edge_count()} edges; "
+      f"(4,8) has degree {core.degree((4, 8))}")
+
 # -- reversal symmetry ------------------------------------------------------
 
 # the flip (x, y) -> (N+1-y, N+1-x) maps interval l onto interval n-l
 npts = core.n_points
-members = {tuple(v) for v in core.members}
+members = {tuple(v) for v in core.vertices()}
 flipped = {(npts + 1 - y, npts + 1 - x) for x, y in members}
 print("\nclosed under reversal:", flipped == members)
 

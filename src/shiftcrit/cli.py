@@ -31,7 +31,6 @@ import sys
 
 from .errors import InvalidParameterError, InvalidVertexError
 from .graphs import (
-    ShiftGraph,
     as_vertex,
     build_shift_graph,
     core_json_chunks,
@@ -180,16 +179,14 @@ def cmd_chi(args) -> int:
     if (args.n_points is None) == (args.core is None):
         raise InvalidParameterError("pick exactly one target: a ground size or --core n")
     if args.core is not None:
-        view = critical_core(args.core).induced()
+        view = critical_core(args.core)
     else:
         view = build_shift_graph(args.n_points)
     if args.delete is not None:
         v = _parse_vertex(args.delete)
-        if not view.has_vertex(v):
+        if v not in view:
             raise InvalidVertexError(f"vertex {v} is not in the target graph")
-        keep = [w for w in view.vertex_list() if w != v]
-        parent = view if isinstance(view, ShiftGraph) else view.parent
-        view = parent.induced(keep)
+        view = view.induced(w for w in view.vertices() if w != v)
     _need("chromatic_number")
     res = chromatic_number(view, _budget(args))
     if not res.conclusive:

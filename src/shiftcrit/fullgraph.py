@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, SequenceLengthError
 
@@ -47,22 +47,16 @@ def _full_graph_args(seq: SubsetSequence, n_points: int, skip_pair):
 _TABLE_MAX_GROUND = 8
 
 
-class _MaskTables(NamedTuple):
-    """Tables over the masks of [1, n]; a set of masks is an int with bit b for mask b."""
-
-    single: tuple[int, ...]  # single[a]: the set {a}
-    up: tuple[int, ...]      # up[a]: the masks containing a
-
-
 @lru_cache(maxsize=None)
-def _mask_tables(n: int) -> _MaskTables:
+def _mask_tables(n: int) -> tuple[int, ...]:
+    """up[a]: the masks of [1, n] containing a, as an int with bit b for mask b."""
     size = 1 << n
     holding = {1 << t: sum(1 << b for b in range(size) if b >> t & 1) for t in range(n)}
     up = [(1 << size) - 1]  # up[a]: the AND of holding[1 << (t - 1)] over the elements t of a
     for a in range(1, size):
         low = a & -a
         up.append(up[a ^ low] & holding[low])
-    return _MaskTables(tuple(1 << a for a in range(size)), tuple(up))
+    return tuple(up)
 
 
 def _unions_after(sets: list[int], skip_pair) -> list[int]:
@@ -104,8 +98,8 @@ def full_graph_goodness_violation(seq: SubsetSequence, n_points: int,
     """
     entries, skip = _full_graph_args(seq, n_points, skip_pair)
     if seq.n <= _TABLE_MAX_GROUND:
-        single, up = _mask_tables(seq.n)
-        after = _unions_after(list(map(single.__getitem__, entries)), skip)
+        up = _mask_tables(seq.n)
+        after = _unions_after([1 << a for a in entries], skip)
         for i, (mask, later) in enumerate(zip(entries, after), 1):
             if later & up[mask]:
                 return next((i, j) for j in range(i + 1, n_points + 1)

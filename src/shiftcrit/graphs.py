@@ -15,15 +15,18 @@ n + 1 intervals
 Exactly 2^l - 1 ground points lie strictly left of I_l and 2^(n-l) - 1
 strictly right of it.  The subgraph induced by W is the unique minimal
 induced subgraph whose chromatic number still exceeds n.
+
+Both are one kind of view: the pairs (x, y) with x < y <= reach(x), where
+reach(x) = N for the full graph.  ReachView does the vertex, edge and
+neighbor arithmetic for both, and every view, an induced subgraph too,
+answers the same methods.
 """
 from __future__ import annotations
 
-import functools
-import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, InvalidVertexError
 
@@ -65,8 +68,90 @@ def adjacent(u, w) -> bool:
     return u.y == w.x or w.y == u.x
 
 
+class GraphView:
+    """What every view derives from its vertices(), edge_ids() and neighbors()."""
+
+    def vertex_list(self) -> tuple[Vertex, ...]:
+        return tuple(self.vertices())
+
+    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        """Each edge once as (u, w), in the order of edge_ids()."""
+        verts = self.vertex_list()
+        for i, j in self.edge_ids():
+            yield verts[i], verts[j]
+
+    def degree(self, v) -> int:
+        return len(self.neighbors(v))
+
+    def induced(self, X) -> "InducedSubgraph":
+        return InducedSubgraph(self, tuple(X))
+
+
+class ReachView(GraphView):
+    """The pairs (x, y), x < y <= reach(x), over the ground interval [1, n_points].
+
+    A subclass gives n_points and reach(x), with x <= reach(x) <= n_points
+    on the ground interval.  The vertices, edges and neighbors are then
+    arithmetic on reach: the chain (x, y) ~ (y, z) is an edge exactly
+    when y <= reach(x) and z <= reach(y).
+    """
+
+    def __contains__(self, v) -> bool:
+        try:
+            v = as_vertex(v)
+        except InvalidVertexError:
+            return False
+        return v.y <= self.reach(v.x)
+
+    def require_vertex(self, v) -> Vertex:
+        v = as_vertex(v)
+        if v.y > self.reach(v.x):
+            raise InvalidVertexError(f"{v} is not a vertex of {self!r}")
+        return v
+
+    def _reaches(self) -> list[int]:
+        """reach(x) at index x of [1, n_points], and 0 at index 0."""
+        return [0] + [self.reach(x) for x in range(1, self.n_points + 1)]
+
+    def vertices(self) -> Iterator[Vertex]:
+        """The vertices in ascending (x, y) order, generated from reach()."""
+        for x in range(1, self.n_points + 1):
+            for y in range(x + 1, self.reach(x) + 1):
+                yield Vertex(x, y)
+
+    def vertex_count(self) -> int:
+        return sum(self.reach(x) - x for x in range(1, self.n_points + 1))
+
+    def edge_count(self) -> int:
+        r = self._reaches()
+        return sum(r[y] - y for x in range(1, len(r)) for y in range(x + 1, r[x] + 1))
+
+    def neighbors(self, v) -> set[Vertex]:
+        """All pairs chaining into v from the left or out of v to the right."""
+        v = self.require_vertex(v)
+        left = {Vertex(w, v.x) for w in range(1, v.x) if v.x <= self.reach(w)}
+        right = {Vertex(v.y, z) for z in range(v.y + 1, self.reach(v.y) + 1)}
+        return left | right
+
+    def edge_ids(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as positions (i, j), i < j, in vertex_list(), ascending.
+
+        The pair (x, y) sits at off[x] + y, with off[x] the count of
+        vertices (w, z), w < x, minus x + 1; so the chain (x, y) ~ (y, z)
+        is the edge (off[x] + y, off[y] + z).  The streaming exports
+        write edges in this order.
+        """
+        r = self._reaches()
+        off, before = [0] * len(r), 0
+        for x in range(1, len(r)):
+            off[x] = before - x - 1
+            before += r[x] - x
+        return ((off[x] + y, off[y] + z) for x in range(1, len(r))
+                for y in range(x + 1, r[x] + 1) for z in range(y + 1, r[y] + 1))
+
+
 @dataclass(frozen=True)
-class ShiftGraph:
+class ShiftGraph(ReachView):
     """The shift graph with vertices {(x, y) : 1 <= x < y <= n_points}."""
 
     n_points: int
@@ -75,79 +160,22 @@ class ShiftGraph:
         if not isinstance(self.n_points, int) or self.n_points < 2:
             raise InvalidParameterError(f"ground interval needs N >= 2, got {self.n_points!r}")
 
-    def vertex_count(self) -> int:
-        return math.comb(self.n_points, 2)
-
-    def edge_count(self) -> int:
-        # each chain x < y < z contributes exactly one edge
-        return math.comb(self.n_points, 3)
-
-    def vertices(self) -> Iterator[Vertex]:
-        for x in range(1, self.n_points):
-            for y in range(x + 1, self.n_points + 1):
-                yield Vertex(x, y)
-
-    def vertex_list(self) -> tuple[Vertex, ...]:
-        return tuple(self.vertices())
-
-    def has_vertex(self, v) -> bool:
-        try:
-            v = as_vertex(v)
-        except InvalidVertexError:
-            return False
-        return v.y <= self.n_points
-
-    def require_vertex(self, v) -> Vertex:
-        v = as_vertex(v)
-        if v.y > self.n_points:
-            raise InvalidVertexError(f"{v} is not a vertex: endpoint exceeds N={self.n_points}")
-        return v
-
-    def neighbors(self, v) -> set[Vertex]:
-        """All pairs chaining into v from the left or out of v to the right."""
-        v = self.require_vertex(v)
-        left = {Vertex(w, v.x) for w in range(1, v.x)}
-        right = {Vertex(v.y, z) for z in range(v.y + 1, self.n_points + 1)}
-        return left | right
-
-    def degree(self, v) -> int:
-        v = self.require_vertex(v)
-        return (v.x - 1) + (self.n_points - v.y)
-
-    def edge_ids(self) -> Iterator[tuple[int, int]]:
-        """Each edge once as positions (i, j), i < j, in vertex_list(), ascending.
-
-        The pair (x, y) sits at off[x] + y, off[x] = (x - 1)(2N - x)/2 - x - 1,
-        so the chain x < y < z is the edge (off[x] + y, off[y] + z).  The
-        streaming exports write edges in this order.
-        """
-        N = self.n_points
-        off = [(x - 1) * (2 * N - x) // 2 - x - 1 for x in range(N + 1)]
-        return ((off[x] + y, off[y] + z) for x in range(1, N - 1)
-                for y in range(x + 1, N) for z in range(y + 1, N + 1))
-
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Each edge once as (u, w), in the order of edge_ids()."""
-        verts = self.vertex_list()
-        for i, j in self.edge_ids():
-            yield verts[i], verts[j]
-
-    def induced(self, X) -> "InducedSubgraph":
-        return InducedSubgraph(self, tuple(X))
+    def reach(self, x: int) -> int:
+        return self.n_points
 
 
 @dataclass(frozen=True)
-class InducedSubgraph:
-    """The subgraph of a shift graph induced by an explicit vertex set."""
+class InducedSubgraph(GraphView):
+    """The subgraph of a graph view induced by an explicit vertex set."""
 
-    parent: ShiftGraph
-    vertices: tuple[Vertex, ...]
+    parent: GraphView
+    verts: tuple[Vertex, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(self.parent.require_vertex(v) for v in self.vertices))
+        vs = tuple(sorted(self.parent.require_vertex(v) for v in self.verts))
         if len(set(vs)) != len(vs):
             raise InvalidVertexError("induced vertex set contains duplicates")
-        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "verts", vs)
         object.__setattr__(self, "_members", frozenset(vs))
         by_first: dict[int, list[Vertex]] = {}
         for v in vs:
@@ -158,16 +186,19 @@ class InducedSubgraph:
     def n_points(self) -> int:
         return self.parent.n_points
 
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    def edge_count(self) -> int:
-        return sum(len(self._by_first.get(v.y, ())) for v in self.vertices)
+    def vertices(self) -> Iterator[Vertex]:
+        return iter(self.verts)
 
     def vertex_list(self) -> tuple[Vertex, ...]:
-        return self.vertices
+        return self.verts
 
-    def has_vertex(self, v) -> bool:
+    def vertex_count(self) -> int:
+        return len(self.verts)
+
+    def edge_count(self) -> int:
+        return sum(len(self._by_first.get(v.y, ())) for v in self.verts)
+
+    def __contains__(self, v) -> bool:
         try:
             return as_vertex(v) in self._members
         except InvalidVertexError:
@@ -185,74 +216,52 @@ class InducedSubgraph:
         out.update(Vertex(w, v.x) for w in range(1, v.x) if Vertex(w, v.x) in self._members)
         return out
 
-    def degree(self, v) -> int:
-        return len(self.neighbors(v))
-
     def edge_ids(self) -> Iterator[tuple[int, int]]:
-        """As ShiftGraph.edge_ids: v's partners (v.y, z) follow v in the sorted tuple."""
-        pos = {v: t for t, v in enumerate(self.vertices)}
-        return ((i, pos[w]) for i, v in enumerate(self.vertices)
+        """As ReachView.edge_ids: v's partners (v.y, z) follow v in the sorted tuple."""
+        pos = {v: t for t, v in enumerate(self.verts)}
+        return ((i, pos[w]) for i, v in enumerate(self.verts)
                 for w in self._by_first.get(v.y, ()))
-
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Each edge once as (u, w), in the order of edge_ids()."""
-        for i, j in self.edge_ids():
-            yield self.vertices[i], self.vertices[j]
 
 
 @dataclass(frozen=True)
-class CriticalCore:
-    """The critical vertex set W of the shift graph on [1, 2^n + 1].
+class CriticalCore(ReachView):
+    """The critical vertex set W of the shift graph on [1, 2^n + 1], as a graph view.
 
-    A value of n and the intervals I_0, ..., I_n that holds no member
-    data: every question about W is arithmetic on the intervals, and
-    (x, y) is in W iff y <= reach(x).
+    A value of n and nothing more: (x, y) is in W iff y <= reach(x), so
+    every question about W is arithmetic on n.
     """
 
     n: int
-    intervals: tuple[Interval, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 2:
+            raise InvalidParameterError(f"critical core needs n >= 2, got {self.n!r}")
 
     @property
     def n_points(self) -> int:
         return 2 ** self.n + 1
 
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        """I_l = [2^l, 2^n - 2^(n-l) + 2] for l = 0, ..., n."""
+        n = self.n
+        return tuple(Interval(2 ** l, 2 ** n - 2 ** (n - l) + 2) for l in range(n + 1))
+
     def reach(self, x: int) -> int:
         """max{hi(I_l) : x in I_l}, or 0 if no interval covers x.
 
         Both bounds of I_l ascend with l, so the largest hi belongs to
-        the largest l with 2^l <= x, and that I_l covers x: for l < n,
-        hi(I_l) - (2^(l+1) - 1) = (2^l - 1)(2^(n-l) - 2) + 1 > 0, and
-        hi(I_n) = 2^n + 1.
+        the largest l with 2^l <= x, l = bit_length(x) - 1, and that I_l
+        covers x: for l < n, hi(I_l) - (2^(l+1) - 1) =
+        (2^l - 1)(2^(n-l) - 2) + 1 > 0, and hi(I_n) = 2^n + 1.  So
+        reach(x) = hi(I_l) = 2^n - 2^(n + 1 - bit_length(x)) + 2.
         """
         if not 1 <= x <= self.n_points:
             return 0
-        return self.intervals[x.bit_length() - 1].hi
-
-    def iter_members(self) -> Iterator[Vertex]:
-        """The members in ascending (x, y) order, generated from reach()."""
-        for x in range(1, self.n_points + 1):
-            for y in range(x + 1, self.reach(x) + 1):
-                yield Vertex(x, y)
-
-    @property
-    def members(self) -> tuple[Vertex, ...]:
-        return tuple(self.iter_members())
-
-    def __contains__(self, v) -> bool:
-        try:
-            v = as_vertex(v)
-        except InvalidVertexError:
-            return False
-        return v.y <= self.reach(v.x)
-
-    def __len__(self) -> int:
-        return sum(max(self.reach(x) - x, 0) for x in range(1, self.n_points + 1))
+        return 2 ** self.n - 2 ** (self.n + 1 - x.bit_length()) + 2
 
     def graph(self) -> ShiftGraph:
         return ShiftGraph(self.n_points)
-
-    def induced(self) -> InducedSubgraph:
-        return InducedSubgraph(self.graph(), self.members)
 
     def least_interval_index(self, v) -> int:
         """Smallest l such that both endpoints of v lie in I_l.
@@ -271,7 +280,7 @@ class CriticalCore:
             "n": self.n,
             "n_points": self.n_points,
             "intervals": [[iv.lo, iv.hi] for iv in self.intervals],
-            "members": [[v.x, v.y] for v in self.iter_members()],
+            "members": [[v.x, v.y] for v in self.vertices()],
         }
 
 
@@ -281,28 +290,23 @@ def build_shift_graph(n_points: int) -> ShiftGraph:
 
 
 def neighbors(graph, v) -> set[Vertex]:
-    """Neighbor set of v in a ShiftGraph or InducedSubgraph view."""
+    """Neighbor set of v in a graph view."""
     return graph.neighbors(v)
 
 
-def induced_subgraph(graph: ShiftGraph, X) -> InducedSubgraph:
-    """Subgraph of a shift graph induced by the vertex set X."""
+def induced_subgraph(graph: GraphView, X) -> InducedSubgraph:
+    """Subgraph of a graph view induced by the vertex set X."""
     return graph.induced(X)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def critical_core(n: int) -> CriticalCore:
     """Critical core for ground interval [1, 2^n + 1]; needs n >= 2.
 
     A pair (x, y) belongs to the core iff some interval I_l contains both
-    endpoints, which happens iff y <= max{hi(I_l) : x in I_l}.  Only the
-    intervals are built; see CriticalCore.reach.  Cached per n; typed=True
-    keeps critical_core(n=2.0) from returning the entry of critical_core(n=2).
+    endpoints, which happens iff y <= max{hi(I_l) : x in I_l}; see
+    CriticalCore.reach.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameterError(f"critical core needs n >= 2, got {n!r}")
-    return CriticalCore(n, tuple(Interval(2 ** l, 2 ** n - 2 ** (n - l) + 2)
-                                 for l in range(n + 1)))
+    return CriticalCore(n)
 
 
 def is_triangle_free(view) -> bool:
@@ -332,11 +336,6 @@ def _joined(pieces) -> Iterator[str]:
         yield "".join(batch)
 
 
-def _vertices_in_order(view) -> Iterable[Vertex]:
-    """The vertices of view in id order; a full ShiftGraph streams them."""
-    return view.vertices() if isinstance(view, ShiftGraph) else view.vertex_list()
-
-
 def _edge_ids(pairs, edge_count: int) -> Iterator[tuple[int, int]]:
     """The position pairs of a view's edge_ids() as 1-based ids, checked to ascend.
 
@@ -359,10 +358,10 @@ def dimacs_chunks(view) -> Iterator[str]:
     """DIMACS edge-format text for a graph view, with a vertex id legend, in chunks.
 
     Edges are written as view.edge_ids() yields them, so memory stays
-    O(vertices) for an induced subgraph and O(N) for a full shift graph,
-    whose vertices stream from vertices().
+    O(vertices) for an induced subgraph and O(N) for a shift graph or a
+    core, whose vertices stream from vertices().
     """
-    verts = _vertices_in_order(view)
+    verts = view.vertices()
     n, m = view.vertex_count(), view.edge_count()
     edges = _edge_ids(view.edge_ids(), m)
 
@@ -398,7 +397,7 @@ def graph_json_chunks(view) -> Iterator[str]:
     sort_keys=True) plus a final newline, and memory stays as in
     dimacs_chunks: edges are written as view.edge_ids() yields them.
     """
-    verts = _vertices_in_order(view)
+    verts = view.vertices()
     n, m = view.vertex_count(), view.edge_count()
     edges = _edge_ids(view.edge_ids(), m)
 
@@ -421,7 +420,7 @@ def core_json_chunks(core: CriticalCore) -> Iterator[str]:
 
     The bytes equal json.dumps(core.to_json_dict(), indent=2,
     sort_keys=True) plus a final newline; members stream from
-    core.iter_members(), so no member table is built.
+    core.vertices(), so no member table is built.
     """
     def pair(a, b):
         return f"    [\n      {a},\n      {b}\n    ]"
@@ -430,7 +429,7 @@ def core_json_chunks(core: CriticalCore) -> Iterator[str]:
         yield '{\n  "intervals": '
         yield from _json_list(pair(iv.lo, iv.hi) for iv in core.intervals)
         yield ',\n  "members": '
-        yield from _json_list(pair(v.x, v.y) for v in core.iter_members())
+        yield from _json_list(pair(v.x, v.y) for v in core.vertices())
         yield f',\n  "n": {core.n},\n  "n_points": {core.n_points}\n}}\n'
 
     return _joined(pieces())

@@ -35,7 +35,7 @@ from .errors import (
     SequenceLengthError,
 )
 from .fullgraph import full_graph_goodness_violation
-from .graphs import CriticalCore, InducedSubgraph, ShiftGraph, Vertex, as_vertex, critical_core
+from .graphs import GraphView, ShiftGraph, Vertex, as_vertex, critical_core
 
 # the solvers' limit of 62 colors; the checks here work on Python ints
 # and need no cap of their own
@@ -154,22 +154,16 @@ class VertexColoring:
 
 
 def _vertices_of(X) -> Iterable:
-    """The vertices of a ShiftGraph, InducedSubgraph or CriticalCore, or X itself."""
-    if isinstance(X, ShiftGraph):
-        return X.vertices()
-    if isinstance(X, InducedSubgraph):
-        return X.vertices
-    if isinstance(X, CriticalCore):
-        return X.iter_members()
-    return X
+    """The vertices of a graph view, or X itself."""
+    return X.vertices() if isinstance(X, GraphView) else X
 
 
 def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
     """Normalize a vertex collection X to sorted (i, j) index pairs.
 
-    X may be a ShiftGraph (meaning all its vertices), an InducedSubgraph,
-    a CriticalCore, or any iterable of pairs.  Every pair must fit inside
-    a sequence of the given length, i.e. j <= length.
+    X may be a graph view (meaning all its vertices) or any iterable of
+    pairs.  Every pair must fit inside a sequence of the given length,
+    i.e. j <= length.
     """
     pairs = sorted({tuple(as_vertex(v)) for v in _vertices_of(X)})
     worst = max((j for _, j in pairs), default=0)
@@ -426,6 +420,13 @@ def descending_full_sequence(n: int, length: int) -> SubsetSequence:
 # wire formats
 
 
+def _json_int(value, name: str) -> int:
+    """value if it is an int; JSON true and false read as bools, which are not numbers."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def sequence_to_dict(seq: SubsetSequence) -> dict:
     return {"n": seq.n, "entries": [list(mask_elements(e)) for e in seq.entries]}
 
@@ -436,13 +437,13 @@ def sequence_from_dict(d: dict) -> SubsetSequence:
         entries = d["entries"]
     except (TypeError, KeyError):
         raise InvalidParameterError("sequence document needs keys 'n' and 'entries'") from None
-    if not isinstance(n, int):
-        raise InvalidParameterError(f"'n' must be an integer, got {n!r}")
+    _json_int(n, "'n'")
     try:
-        return SubsetSequence.from_sets(entries, n)
+        sets = [[_json_int(e, "an element of 'entries'") for e in s] for s in entries]
     except TypeError:
         raise InvalidParameterError("'entries' must be a list of element lists, "
                                     f"got {entries!r}") from None
+    return SubsetSequence.from_sets(sets, n)
 
 
 def coloring_to_dict(coloring: VertexColoring) -> dict:
@@ -457,14 +458,17 @@ def coloring_from_dict(d: dict) -> VertexColoring:
         rows = d["colors"]
     except (TypeError, KeyError):
         raise InvalidParameterError("coloring document needs keys 'k' and 'colors'") from None
+    _json_int(k, "'k'")
     if not isinstance(rows, list):
         raise InvalidParameterError(f"'colors' must be a list of rows, got {rows!r}")
     colors = {}
     for row in rows:
         try:
-            v, c = Vertex(row["x"], row["y"]), row["c"]
+            x, y, c = row["x"], row["y"], row["c"]
         except (TypeError, KeyError):
             raise InvalidParameterError(f"bad coloring row: {row!r}") from None
+        v = Vertex(_json_int(x, "'x'"), _json_int(y, "'y'"))
+        _json_int(c, "'c'")
         if v in colors:
             raise InvalidParameterError(f"coloring document colors {v} twice")
         colors[v] = c

@@ -103,7 +103,7 @@ def _member_rows(report: TheoremReport, n: int, prefix: str = "") -> None:
     """One constructive check per core vertex: G minus the vertex is n-colorable."""
     core = critical_core(n)
     N = core.n_points
-    for v in core.iter_members():
+    for v in core.vertices():
         ref = f"deleted-vertex:({v.x},{v.y})"
         payload = None
         try:
@@ -171,7 +171,7 @@ def verify_criticality(n: int, budget: SearchBudget | None = None,
         _nonmember_rows(report, n, budget)
     else:
         core = critical_core(n)
-        total = core.graph().vertex_count() - len(core)
+        total = core.graph().vertex_count() - core.vertex_count()
         report.skipped.append({
             "claim": f"for all {total} vertices outside the core, deletion keeps the "
                      f"chromatic number at {n + 1}",

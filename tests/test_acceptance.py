@@ -92,17 +92,16 @@ def test_criterion_3_core_at_n2_unique():
     with criterion(3, "W(2) is C5 and the unique 3-vertex-critical subgraph of 1024"):
         t0 = time.perf_counter()
         core = critical_core(2)
-        assert [tuple(v) for v in core.members] == \
+        assert [tuple(v) for v in core.vertex_list()] == \
             [(1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
-        sub = core.induced()
-        edges = list(sub.edges())
+        edges = list(core.edges())
         assert len(edges) == 5
         deg = {}
         for u, w in edges:
             deg[u] = deg.get(u, 0) + 1
             deg[w] = deg.get(w, 0) + 1
         assert sorted(deg.values()) == [2, 2, 2, 2, 2]  # 5 vertices of degree 2
-        res = chromatic_number(sub, SearchBudget(max_seconds=120))
+        res = chromatic_number(core, SearchBudget(max_seconds=120))
         assert res.conclusive and res.chi == 3
         rep = verify_uniqueness(2, SearchBudget(max_seconds=120))
         assert rep.status == "pass"
@@ -119,7 +118,7 @@ def test_criterion_4_member_deletions_construct():
         for n in range(2, 9):
             core = critical_core(n)
             npts = core.n_points
-            for v in core.members:
+            for v in core.vertex_list():
                 seq = construct_deleted_vertex_sequence(n, v)
                 assert seq.n == n and len(seq.entries) == npts
                 assert full_graph_min_coloring_is_proper(seq, npts,
@@ -135,7 +134,7 @@ def test_criterion_5_nonmember_refutations():
             assert rep.status == "pass"
             refutations = [c for c in rep.checks
                            if c.claim.startswith(f"no {n}-coloring")]
-            nonmembers = (1 << (n - 1)) * ((1 << n) + 1) - len(critical_core(n))
+            nonmembers = (1 << (n - 1)) * ((1 << n) + 1) - critical_core(n).vertex_count()
             assert len(refutations) == 2 * nonmembers
             assert all(c.status == "pass" for c in refutations)
         assert time.perf_counter() - t0 <= 600
@@ -210,4 +209,4 @@ def test_criterion_10_diagram_fidelity(tmp_path):
             cells = [r for r in root.iter(SVG + "rect") if r.get("class") == "cell"]
             got = {(int(c.get("data-x")), int(c.get("data-y"))) for c in cells}
             assert len(cells) == len(got)
-            assert got == {(v.x, v.y) for v in critical_core(n).members}
+            assert got == {(v.x, v.y) for v in critical_core(n).vertex_list()}

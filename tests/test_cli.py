@@ -334,6 +334,16 @@ GOLDEN_OUT_SHA256 = {
         "3ffcebaae7caf4c6252f5c7d0ab479026e3a81ff104568bcc8c4893277cec34d",
     ("verify", "2", "--n", "3"):
         "c57cc2d3fe4b110bb0f3a27cc9ef60b7ccd6220aed4eb347a078f8d285b28fbf",
+    # the core as a solver view; recorded while it was solved through an
+    # induced copy of its members
+    ("chi", "--core", "2"):
+        "0e1b7527fdf168a078da61cf72d8127d8dba8e0abf82c6367f2c95aa8ec375a3",
+    ("chi", "--core", "3"):
+        "051b67d93bfe0aa96dc019b688365e48eb215bedfbe252261a8656e4faec00b3",
+    ("verify", "1", "--n", "2"):
+        "390315ddcda68c14ed602b16c515bab210578aa78b5fb554978af02b92efa842",
+    ("verify", "3", "--n", "3"):
+        "c51472272efc8adb18ab68f7b6207834e5afbc5de123c563a588f4b9ea59151e",
 }
 
 

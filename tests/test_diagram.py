@@ -25,7 +25,7 @@ def test_cells_are_exactly_the_core(n, members):
     cells = cells_of(root)
     got = {(int(c.get("data-x")), int(c.get("data-y"))) for c in cells}
     assert len(cells) == members == len(got)
-    assert got == {(v.x, v.y) for v in critical_core(n).members}
+    assert got == {(v.x, v.y) for v in critical_core(n).vertex_list()}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

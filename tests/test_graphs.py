@@ -116,17 +116,17 @@ def test_core_frozen_intervals():
 
 
 def test_core_frozen_sizes():
-    assert len(critical_core(2)) == 5
-    assert len(critical_core(3)) == 19
-    assert len(critical_core(4)) == 87
-    assert len(critical_core(8)) == 31103
+    assert critical_core(2).vertex_count() == 5
+    assert critical_core(3).vertex_count() == 19
+    assert critical_core(4).vertex_count() == 87
+    assert critical_core(8).vertex_count() == 31103
 
 
 def test_core_membership_matches_oracle():
     for n in (2, 3, 4):
         core = critical_core(n)
         want = brute_core_members(n)
-        assert [tuple(v) for v in core.members] == want
+        assert [tuple(v) for v in core.vertex_list()] == want
         g = core.graph()
         for v in g.vertices():
             assert (v in core) == (tuple(v) in set(want))
@@ -134,13 +134,12 @@ def test_core_membership_matches_oracle():
 
 def test_smallest_core_is_a_five_cycle():
     core = critical_core(2)
-    assert [tuple(v) for v in core.members] == [(1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
-    sub = core.induced()
-    es = sorted((tuple(u), tuple(v)) for u, v in sub.edges())
+    assert [tuple(v) for v in core.vertex_list()] == [(1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
+    es = sorted((tuple(u), tuple(v)) for u, v in core.edges())
     assert es == [((1, 2), (2, 3)), ((1, 2), (2, 4)), ((2, 3), (3, 4)),
                   ((2, 4), (4, 5)), ((3, 4), (4, 5))]
     assert all(sum(1 for u, w in es if v in (u, w)) == 2
-               for v in [tuple(m) for m in core.members])
+               for v in [tuple(m) for m in core.vertex_list()])
 
 
 def test_core_reversal_symmetry():
@@ -148,7 +147,7 @@ def test_core_reversal_symmetry():
     for n in (2, 3, 4, 5):
         core = critical_core(n)
         npts = core.n_points
-        members = {tuple(v) for v in core.members}
+        members = {tuple(v) for v in core.vertex_list()}
         assert {(npts + 1 - y, npts + 1 - x) for x, y in members} == members
 
 
@@ -157,7 +156,7 @@ def test_arithmetic_membership_matches_oracle():
         core = critical_core(n)
         want = brute_core_members(n)
         wanted = set(want)
-        assert len(core) == len(want)
+        assert core.vertex_count() == len(want)
         npts = core.n_points
         for x in range(0, npts + 2):
             assert core.reach(x) == max((hi for lo, hi in brute_intervals(n) if lo <= x <= hi),
@@ -180,12 +179,54 @@ def test_arithmetic_membership_matches_oracle():
 
 def test_core_is_one_cached_value_of_n_and_intervals():
     core = critical_core(4)
-    assert critical_core(4) is core
-    assert len(core.members) == len(core) == 87
+    assert critical_core(4) == core
+    assert len(core.vertex_list()) == core.vertex_count() == 87
     assert Vertex(2, 7) in core
-    assert core.induced().vertex_count() == 87
     assert core.least_interval_index(Vertex(2, 7)) == 1
-    assert vars(core) == {"n": 4, "intervals": core.intervals}
+    assert vars(core) == {"n": 4}
+
+
+def protocol_views():
+    g = build_shift_graph(9)
+    yield g
+    for n in (2, 3, 4):
+        yield critical_core(n)
+    yield g.induced([(1, 2), (2, 3), (2, 9), (3, 4), (3, 9), (5, 6)])
+    yield critical_core(3).induced([(2, 3), (3, 4), (4, 6), (6, 8)])
+
+
+def test_every_view_answers_one_protocol():
+    for view in protocol_views():
+        verts = view.vertex_list()
+        assert verts == tuple(view.vertices()) == tuple(sorted(verts))
+        assert view.vertex_count() == len(verts)
+        ids = list(view.edge_ids())
+        assert view.edge_count() == len(ids)
+        assert list(view.edges()) == [(verts[i], verts[j]) for i, j in ids]
+        members = set(verts)
+        for x in range(0, view.n_points + 2):
+            for y in range(x + 1, view.n_points + 3):
+                assert ((x, y) in view) == ((x, y) in members)
+                if (x, y) in members:
+                    assert view.require_vertex((x, y)) == (x, y)
+                else:
+                    with pytest.raises(InvalidVertexError):
+                        view.require_vertex((x, y))
+        for t, v in enumerate(verts):
+            nbrs = {verts[j] for i, j in ids if i == t} | {verts[i] for i, j in ids if j == t}
+            assert view.neighbors(v) == nbrs
+            assert view.degree(v) == len(nbrs)
+        half = verts[::2]
+        assert view.induced(half).vertex_list() == half
+
+
+def test_core_edge_ids_are_those_of_its_induced_copy():
+    for n in range(2, 7):
+        core = critical_core(n)
+        copy = core.graph().induced(core.vertex_list())
+        assert core.vertex_list() == copy.vertex_list()
+        assert list(core.edge_ids()) == list(copy.edge_ids())
+        assert core.edge_count() == copy.edge_count()
 
 
 def test_least_interval_index():
@@ -202,7 +243,7 @@ def test_least_interval_index():
 def test_least_interval_is_least(n):
     core = critical_core(n)
     ivs = core.intervals
-    for v in core.members:
+    for v in core.vertex_list():
         r = core.least_interval_index(v)
         assert ivs[r].lo <= v.x and v.y <= ivs[r].hi
         assert all(not (ivs[l].lo <= v.x and v.y <= ivs[l].hi) for l in range(r))
@@ -232,7 +273,7 @@ def export_views():
     for n_points in (*range(2, 21), 33, 65):
         yield build_shift_graph(n_points)
     for n in (2, 3, 4):
-        yield critical_core(n).induced()
+        yield critical_core(n)
     yield induced_subgraph(build_shift_graph(6), [(1, 2), (1, 3), (4, 5), (4, 6)])
     yield induced_subgraph(build_shift_graph(6), [])
 
@@ -291,6 +332,9 @@ class OrderedFake:
     def vertex_list(self):
         return (Vertex(1, 2), Vertex(2, 3), Vertex(2, 4), Vertex(3, 4))
 
+    def vertices(self):
+        return iter(self.vertex_list())
+
     def vertex_count(self):
         return 4
 
@@ -319,8 +363,8 @@ def test_streaming_rejects_out_of_order_or_miscounted_edges():
 
 def test_bad_parameters():
     critical_core(2)
-    critical_core(n=2)  # both cached: 2.0 below must not hit their entries
-    for bad in (1, 0, -3, 2.5, 2.0, True, "4"):
+    critical_core(n=2)
+    for bad in (1, 0, -3, 2.5, 2.0, True, "4", [2]):
         with pytest.raises(InvalidParameterError):
             build_shift_graph(bad)
         with pytest.raises(InvalidParameterError):

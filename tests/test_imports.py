@@ -158,9 +158,10 @@ def test_wrappers_set_before_the_first_command_are_called(tmp_path):
 
 
 # names a module imports only for callers that look them up there: the
-# benchmark's tracer wraps the two exports in `cli`
+# benchmark's tracer wraps the two exports in `cli` and `is_good` in `solvers`
 REEXPORTS = {
     "cli": {"graph_to_json_dict", "to_dimacs"},
+    "solvers": {"is_good"},
 }
 
 

@@ -429,7 +429,7 @@ def test_construct_worked_examples():
 @given(st.integers(2, 4), st.data())
 def test_construct_is_good_and_properly_colors(n, data):
     core = critical_core(n)
-    v = data.draw(st.sampled_from(core.members))
+    v = data.draw(st.sampled_from(core.vertex_list()))
     npts = core.n_points
     seq = construct_deleted_vertex_sequence(n, v)
     assert len(seq.entries) == npts
@@ -449,7 +449,7 @@ def test_construct_positions_hold_the_deleted_pair():
     # the base set sits exactly at the two deleted positions
     for n in (2, 3, 4):
         core = critical_core(n)
-        for v in core.members:
+        for v in core.vertex_list():
             r = core.least_interval_index(v)
             seq = construct_deleted_vertex_sequence(n, v)
             base = (1 << (n - r)) - 1
@@ -508,7 +508,15 @@ def test_sequence_json_shape():
     (coloring_from_dict, {"k": 3, "colors": [{"x": 1, "y": 2, "c": 1},
                                              {"x": 2, "y": 3, "c": 2},
                                              {"x": 1, "y": 2, "c": 3}]}, r"\(1,2\) twice"),
-], ids=["entries-int", "entry-int", "entry-none", "colors-int", "duplicate-row"])
+    # JSON true and false are not numbers
+    (sequence_from_dict, {"n": True, "entries": [[1], []]}, "'n'"),
+    (sequence_from_dict, {"n": 2, "entries": [[True], []]}, "entries"),
+    (coloring_from_dict, {"k": True, "colors": [{"x": True, "y": 2, "c": True}]}, "'k'"),
+    (coloring_from_dict, {"k": 2, "colors": [{"x": True, "y": 2, "c": 1}]}, "'x'"),
+    (coloring_from_dict, {"k": 2, "colors": [{"x": 1, "y": False, "c": 1}]}, "'y'"),
+    (coloring_from_dict, {"k": 2, "colors": [{"x": 1, "y": 2, "c": True}]}, "'c'"),
+], ids=["entries-int", "entry-int", "entry-none", "colors-int", "duplicate-row",
+        "n-bool", "element-bool", "k-bool", "x-bool", "y-bool", "c-bool"])
 def test_readers_reject_malformed_documents(read, doc, match):
     with pytest.raises(InvalidParameterError, match=match):
         read(doc)

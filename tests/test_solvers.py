@@ -72,8 +72,18 @@ def test_sequence_engine_worked_examples():
     assert r.decision == "no"
 
 
+def test_solvers_take_any_view_and_reject_what_is_not_one():
+    core = critical_core(2)
+    for view in (core, core.induced(core.vertex_list()[1:])):
+        assert greedy_coloring(view) is not None
+    for bad in ([(1, 2), (2, 3)], None, 9):
+        for solve in (chromatic_number, greedy_coloring, lambda x: k_colorable_bb(x, 2)):
+            with pytest.raises(InvalidParameterError):
+                solve(bad)
+
+
 def test_bb_engine_worked_examples():
-    core = critical_core(2).induced()
+    core = critical_core(2)
     assert k_colorable_bb(core, 3, TIGHT).decision == "yes"
     assert k_colorable_bb(core, 2, TIGHT).decision == "no"
     g9 = build_shift_graph(9)
@@ -105,14 +115,14 @@ def test_chromatic_ladder():
 
 
 def test_core_chromatic_numbers():
-    assert chromatic_number(critical_core(2).induced(), TIGHT).chi == 3
-    assert chromatic_number(critical_core(3).induced(), TIGHT).chi == 4
+    assert chromatic_number(critical_core(2), TIGHT).chi == 3
+    assert chromatic_number(critical_core(3), TIGHT).chi == 4
 
 
 def test_deleting_core_vertex_drops_chi():
     core = critical_core(2)
     g = core.graph()
-    for v in core.members:
+    for v in core.vertex_list():
         sub = g.induced([w for w in g.vertices() if w != v])
         assert chromatic_number(sub, TIGHT).chi == 2
     for v in g.vertices():
@@ -220,7 +230,7 @@ def test_pairs_past_the_ground_are_rejected(pairs):
 def test_memo_keeps_yes_certificate_and_cuts_nodes():
     core4 = critical_core(4)
     g = core4.graph()
-    sub = g.induced([v for v in core4.members if v != Vertex(2, 7)])
+    sub = g.induced([v for v in core4.vertex_list() if v != Vertex(2, 7)])
     with_memo = k_colorable_via_sequences(17, 4, sub, TIGHT)
     without = capped_memo_run(0, 17, 4, sub, TIGHT)
     assert with_memo.decision == without.decision == "yes"
@@ -244,8 +254,8 @@ def test_sequence_engine_colors_every_core_deletion():
     for n in (3, 4):
         core = critical_core(n)
         g = core.graph()
-        for v in core.members:
-            sub = g.induced([w for w in core.members if w != v])
+        for v in core.vertex_list():
+            sub = g.induced([w for w in core.vertex_list() if w != v])
             r = k_colorable_via_sequences(core.n_points, n, sub, TIGHT)
             assert r.decision == "yes", v
             assert is_good(r.certificate_sequence, sub)
