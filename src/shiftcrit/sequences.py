@@ -46,7 +46,7 @@ def mask_of(elements: Iterable[int], n: int) -> int:
     """Bitmask of a subset of [1, n]."""
     m = 0
     for e in elements:
-        if not isinstance(e, int) or not 1 <= e <= n:
+        if type(e) is bool or not isinstance(e, int) or not 1 <= e <= n:
             raise InvalidParameterError(f"element {e!r} is outside [1, {n}]")
         m |= 1 << (e - 1)
     return m
@@ -90,14 +90,14 @@ class SubsetSequence:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is bool or not isinstance(self.n, int) or self.n < 0:
             raise InvalidParameterError(f"ground size must be a nonnegative integer, got {self.n!r}")
         if self.n > _MAX_GROUND:
             raise InvalidParameterError(f"ground size {self.n} exceeds the supported maximum {_MAX_GROUND}")
         limit = 1 << self.n
         ents = tuple(self.entries)
         for e in ents:
-            if not isinstance(e, int) or not 0 <= e < limit:
+            if type(e) is bool or not isinstance(e, int) or not 0 <= e < limit:
                 raise InvalidParameterError(f"entry {e!r} is not a subset mask over [1, {self.n}]")
         object.__setattr__(self, "entries", ents)
 
@@ -129,12 +129,12 @@ class VertexColoring:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 0:
+        if type(self.k) is bool or not isinstance(self.k, int) or self.k < 0:
             raise InvalidParameterError(f"color count must be a nonnegative integer, got {self.k!r}")
         norm = {}
         for v, c in dict(self.colors).items():
             v = as_vertex(v)
-            if not isinstance(c, int) or not 1 <= c <= self.k:
+            if type(c) is bool or not isinstance(c, int) or not 1 <= c <= self.k:
                 raise InvalidParameterError(f"color {c!r} for {v} is outside [1, {self.k}]")
             norm[v] = c
         object.__setattr__(self, "colors", norm)
@@ -421,8 +421,12 @@ def descending_full_sequence(n: int, length: int) -> SubsetSequence:
 
 
 def _json_int(value, name: str) -> int:
-    """value if it is an int; JSON true and false read as bools, which are not numbers."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """value if it is an int; JSON true and false read as bools, which are not numbers.
+
+    bool has no subclasses, so `type(value) is bool` is the isinstance test,
+    and the cheaper one; the constructors above test their numbers the same way.
+    """
+    if type(value) is bool or not isinstance(value, int):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     return value
 

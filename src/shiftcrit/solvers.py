@@ -19,14 +19,17 @@ certificates are identical with and without the memo.
 
 The second engine is a classical branch-and-bound vertex coloring with
 a greedy clique precoloring and the first-use color symmetry cap.  It
-and the greedy upper bound pick the next vertex by one rule, DSATUR's
-most saturated vertex (Brelaz 1979), over one adjacency built from the
-view's edges.  The sequence engine shares nothing with them, so the two
+colors DSATUR's most saturated vertex next (Brelaz 1979), over one
+adjacency built from the view's edges, and keeps each vertex's neighbor
+colors as one int bitset.  The greedy upper bound is the same search
+with as many colors as vertices: its first descent, which never
+backtracks.  The sequence engine shares nothing with it, so the two
 engines' agreement is a meaningful check; chromatic_number runs every
 query through both and insists they agree.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -320,7 +323,7 @@ def _adjacency(view):
     return verts, adj
 
 
-def _most_saturated(colors, nbr_colors, degree) -> int:
+def _most_saturated(colors, seen, degree) -> int:
     """DSATUR's choice: the uncolored vertex with the most distinct neighbor colors.
 
     Ties go to the larger degree, then to the smaller position.
@@ -329,20 +332,84 @@ def _most_saturated(colors, nbr_colors, degree) -> int:
     for t, c in enumerate(colors):
         if c:
             continue
-        key = (len(nbr_colors[t]), degree[t], -t)
+        key = (seen[t].bit_count(), degree[t], -t)
         if best_key is None or key > best_key:
             best, best_key = t, key
     return best
 
 
 def _greedy_clique(adj) -> list[int]:
-    order = sorted(range(len(adj)), key=lambda t: (-len(adj[t]), t))
+    """Positions by degree descending, then position; each kept when adjacent to all kept."""
     clique: list[int] = []
-    sets = [set(a) for a in adj]
-    for t in order:
-        if all(t in sets[q] for q in clique):
+    common = set(range(len(adj)))  # the common neighbors of the clique so far
+    for t in sorted(range(len(adj)), key=lambda t: (-len(adj[t]), t)):
+        if t in common:
             clique.append(t)
+            common.intersection_update(adj[t])
     return clique
+
+
+def _dsatur(adj, k: int, clock: _Clock) -> tuple[str, list[int] | None]:
+    """DSATUR branch and bound on adjacency rows: (decision, color of each position).
+
+    The greedy clique takes colors 1, 2, ... (a clique larger than k
+    refutes at once).  Then each frame colors the most saturated vertex
+    with its least free color up to min(k, largest color in use + 1),
+    and on backtracking moves it to its next free color.  seen[t] has
+    bit c set when a neighbor of t has color c; a frame keeps the
+    (u, old seen[u]) pairs its assignment changed, to undo it.  The
+    colors are None unless the decision is "yes".
+    """
+    clique = _greedy_clique(adj)
+    if len(clique) > k:
+        return "no", None
+    m = len(adj)
+    colors = [0] * m
+    seen = [0] * m
+    degree = [len(a) for a in adj]
+
+    def assign(t: int, c: int) -> list:
+        colors[t] = c
+        bit = 1 << c
+        trail = []
+        for u in adj[t]:
+            s = seen[u]
+            if not s & bit:
+                seen[u] = s | bit
+                trail.append((u, s))
+        return trail
+
+    for rank, t in enumerate(clique):
+        assign(t, rank + 1)
+    max_used = len(clique)
+    uncolored = m - len(clique)
+    if uncolored == 0:
+        return "yes", colors
+    # frame: vertex, its color (0 before the first), max_used below it, its trail
+    frames = [[_most_saturated(colors, seen, degree), 0, max_used, ()]]
+    while frames:
+        frame = frames[-1]
+        t, cur, max_used, trail = frame
+        if cur:
+            colors[t] = 0
+            for u, s in trail:
+                seen[u] = s
+            uncolored += 1
+        # the colors in (cur, min(k, max_used + 1)] that no neighbor has
+        free = ~(seen[t] | ((2 << cur) - 1)) & ((2 << min(k, max_used + 1)) - 1)
+        if not free:
+            clock.prunes += 1
+            frames.pop()
+            continue
+        if not clock.tick():
+            return "inconclusive", None
+        c = (free & -free).bit_length() - 1
+        frame[1], frame[3] = c, assign(t, c)
+        uncolored -= 1
+        if uncolored == 0:
+            return "yes", colors
+        frames.append([_most_saturated(colors, seen, degree), 0, max(max_used, c), ()])
+    return "no", None
 
 
 def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> ColorabilityResult:
@@ -358,85 +425,11 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
     if budget is None:
         budget = SearchBudget()
     verts, adj = _adjacency(view)
-    m = len(verts)
     clock = _Clock(budget)
-    if m == 0:
-        return ColorabilityResult("yes", k, "bb", 0, 0,
-                                  certificate_coloring=VertexColoring({}, k))
-    if k == 0:
-        return ColorabilityResult("no", k, "bb", 0, 0)
-
-    clique = _greedy_clique(adj)
-    if len(clique) > k:
-        return ColorabilityResult("no", k, "bb", 0, 0)
-
-    colors = [0] * m
-    nbr_colors: list[dict[int, int]] = [dict() for _ in range(m)]
-    degree = [len(a) for a in adj]
-
-    def assign(t: int, c: int):
-        colors[t] = c
-        for u in adj[t]:
-            d = nbr_colors[u]
-            d[c] = d.get(c, 0) + 1
-
-    def unassign(t: int, c: int):
-        colors[t] = 0
-        for u in adj[t]:
-            d = nbr_colors[u]
-            if d[c] == 1:
-                del d[c]
-            else:
-                d[c] -= 1
-
-    for rank, t in enumerate(clique):
-        assign(t, rank + 1)
-    max_used = len(clique)
-    uncolored = m - len(clique)
-
-    def next_color(t: int, after: int, cap: int) -> int:
-        for c in range(after + 1, min(k, cap) + 1):
-            if c not in nbr_colors[t]:
-                return c
-        return 0
-
-    found = uncolored == 0
-    exhausted = False
-    out_of_budget = False
-    if not found:
-        frames: list[list[int]] = [[_most_saturated(colors, nbr_colors, degree), 0, max_used]]
-        while frames:
-            frame = frames[-1]
-            t, cur, prev_max = frame
-            if cur:
-                unassign(t, cur)
-                max_used = prev_max
-                uncolored += 1
-            c = next_color(t, cur, max_used + 1)
-            if c == 0:
-                clock.prunes += 1
-                frames.pop()
-                continue
-            if not clock.tick():
-                out_of_budget = True
-                break
-            frame[1] = c
-            frame[2] = max_used
-            assign(t, c)
-            max_used = max(max_used, c)
-            uncolored -= 1
-            if uncolored == 0:
-                found = True
-                break
-            frames.append([_most_saturated(colors, nbr_colors, degree), 0, max_used])
-        else:
-            exhausted = True
-
-    if out_of_budget:
-        return ColorabilityResult("inconclusive", k, "bb", clock.nodes, clock.prunes)
-    if exhausted:
-        return ColorabilityResult("no", k, "bb", clock.nodes, clock.prunes)
-    coloring = VertexColoring({verts[t]: colors[t] for t in range(m)}, k)
+    decision, colors = _dsatur(adj, k, clock)
+    if decision != "yes":
+        return ColorabilityResult(decision, k, "bb", clock.nodes, clock.prunes)
+    coloring = VertexColoring(dict(zip(verts, colors)), k)
     if proper_coloring_violation(coloring, verts) is not None:
         raise ConstructionError("branch-and-bound returned an improper coloring")
     return ColorabilityResult("yes", k, "bb", clock.nodes, clock.prunes,
@@ -444,31 +437,20 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
 
 
 def greedy_coloring(view, budget: SearchBudget | None = None) -> VertexColoring | None:
-    """DSATUR greedy coloring; None if the time budget runs out."""
-    view = as_view(view)
-    verts, adj = _adjacency(view)
+    """DSATUR greedy coloring: branch and bound's first descent with k = the vertex count.
+
+    With that many colors the first-use cap always admits a free color,
+    so the descent never backtracks and gives each vertex its least free
+    color.  Only the budget's time limit applies; None if it runs out.
+    """
+    verts, adj = _adjacency(as_view(view))
     m = len(verts)
-    if m == 0:
-        return VertexColoring({}, 0)
-    start = time.monotonic()
-    limit = budget.max_seconds if budget else None
-    colors = [0] * m
-    nbr_colors: list[set[int]] = [set() for _ in range(m)]
-    degree = [len(a) for a in adj]
-    done = 0
-    while done < m:
-        if limit is not None and done % 4096 == 0 and time.monotonic() - start > limit:
-            return None
-        best = _most_saturated(colors, nbr_colors, degree)
-        c = 1
-        while c in nbr_colors[best]:
-            c += 1
-        colors[best] = c
-        for u in adj[best]:
-            nbr_colors[u].add(c)
-        done += 1
-    k = max(colors)
-    return VertexColoring({verts[t]: colors[t] for t in range(m)}, k)
+    limit = budget.max_seconds if budget else math.inf
+    # the descent takes at most m nodes, so only the time limit can trip
+    decision, colors = _dsatur(adj, m, _Clock(SearchBudget(m + 1, limit)))
+    if decision != "yes":
+        return None
+    return VertexColoring(dict(zip(verts, colors)), max(colors, default=0))
 
 
 def _has_odd_cycle(view) -> bool:

@@ -92,6 +92,38 @@ def brute_chromatic(vertices, edges):
     return k
 
 
+def greedy_dsatur(vertices, edges):
+    # DSATUR greedy coloring, the one-loop form the library once had: the
+    # uncolored vertex with the most distinct neighbor colors, then the larger
+    # degree, then the earlier of `vertices`, takes its least free color
+    index = {v: t for t, v in enumerate(vertices)}
+    adj = [[] for _ in vertices]
+    for u, w in edges:
+        adj[index[u]].append(index[w])
+        adj[index[w]].append(index[u])
+    m = len(vertices)
+    colors = [0] * m
+    nbr_colors = [set() for _ in range(m)]
+    degree = [len(a) for a in adj]
+    done = 0
+    while done < m:
+        best, best_key = -1, None
+        for t, c in enumerate(colors):
+            if c:
+                continue
+            key = (len(nbr_colors[t]), degree[t], -t)
+            if best_key is None or key > best_key:
+                best, best_key = t, key
+        c = 1
+        while c in nbr_colors[best]:
+            c += 1
+        colors[best] = c
+        for u in adj[best]:
+            nbr_colors[u].add(c)
+        done += 1
+    return dict(zip(vertices, colors))
+
+
 def sorted_dimacs(view):
     # the in-memory exporter: collect every edge, normalise, sort, then join
     verts = view.vertex_list()

@@ -365,6 +365,27 @@ def bench_workloads(monkeypatch):
     return module
 
 
+@pytest.mark.parametrize("argv", (("chi", "--core", "3"), ("chi", "9")), ids=" ".join)
+def test_tracer_counts_one_greedy_and_each_bb_query(capsys, tmp_path, argv):
+    # the greedy upper bound must not reach the public k_colorable_bb, which
+    # the tracer counts as a bb query
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    target = tmp_path / "out.json"
+    tracer.install()
+    try:
+        assert cli.main([*argv, "--out", str(target)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    queries = json.loads(target.read_text(encoding="utf-8"))["queries"]
+    assert names.count("solvers.greedy") == 1
+    assert names.count("solvers.bb") == sum(q["engine"] == "bb" for q in queries) > 0
+
+
 @pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
 @pytest.mark.parametrize("workload", ["members", "export"])
 def test_benchmark_outputs_match_recorded_digests(capsys, tmp_path, bench_workloads,

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 from unittest import mock
 
@@ -515,8 +516,16 @@ def test_sequence_json_shape():
     (coloring_from_dict, {"k": 2, "colors": [{"x": True, "y": 2, "c": 1}]}, "'x'"),
     (coloring_from_dict, {"k": 2, "colors": [{"x": 1, "y": False, "c": 1}]}, "'y'"),
     (coloring_from_dict, {"k": 2, "colors": [{"x": 1, "y": 2, "c": True}]}, "'c'"),
+    # nor are booleans where the constructors take one, read(doc) being the call
+    (partial(SubsetSequence, (1,)), True, "ground size"),
+    (partial(SubsetSequence, (True,)), 1, "entry True"),
+    (partial(VertexColoring, {(1, 2): 1}), True, "color count"),
+    (partial(VertexColoring, {(1, 2): True}), 1, "color True"),
+    (partial(mask_of, [True]), 3, "element True"),
 ], ids=["entries-int", "entry-int", "entry-none", "colors-int", "duplicate-row",
-        "n-bool", "element-bool", "k-bool", "x-bool", "y-bool", "c-bool"])
+        "n-bool", "element-bool", "k-bool", "x-bool", "y-bool", "c-bool",
+        "sequence-n-bool", "sequence-entry-bool", "coloring-k-bool", "coloring-color-bool",
+        "mask-element-bool"])
 def test_readers_reject_malformed_documents(read, doc, match):
     with pytest.raises(InvalidParameterError, match=match):
         read(doc)

@@ -25,7 +25,7 @@ from shiftcrit import (
     proper_coloring_violation,
 )
 
-from oracles import brute_chromatic, brute_k_colorable
+from oracles import brute_chromatic, brute_k_colorable, greedy_dsatur
 
 TIGHT = SearchBudget(max_nodes=2_000_000, max_seconds=60.0)
 
@@ -266,6 +266,38 @@ def test_greedy_coloring_is_proper():
         g = build_shift_graph(n_points)
         col = greedy_coloring(g, TIGHT)
         assert proper_coloring_violation(col, g) is None
+
+
+def assert_greedy_is_the_reference(view):
+    col = greedy_coloring(view)
+    want = greedy_dsatur(view.vertex_list(), list(view.edges()))
+    assert col.colors == want
+    assert col.k == max(want.values(), default=0)
+
+
+def test_greedy_matches_the_reference_on_full_graphs_and_cores():
+    core3 = critical_core(3)
+    views = [build_shift_graph(n) for n in range(2, 25)]
+    views += [critical_core(n) for n in (2, 3, 4)]
+    views += [core3.induced([w for w in core3.vertex_list() if w != v])
+              for v in core3.vertex_list()]
+    for view in views:
+        assert_greedy_is_the_reference(view)
+
+
+G12 = build_shift_graph(12)
+
+
+@given(st.lists(st.sampled_from(G12.vertex_list()), unique=True, max_size=G12.vertex_count()))
+@settings(max_examples=100)
+def test_greedy_matches_the_reference_on_induced_subgraphs(verts):
+    assert_greedy_is_the_reference(G12.induced(verts))
+
+
+def test_greedy_ignores_the_node_budget():
+    g = build_shift_graph(9)
+    col = greedy_coloring(g, SearchBudget(max_nodes=1))
+    assert col is not None and proper_coloring_violation(col, g) is None
 
 
 @st.composite
