@@ -17,7 +17,7 @@ from __future__ import annotations
 import colorsys
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .graphs import critical_core
 
 
@@ -36,6 +36,7 @@ def default_cell_size(n: int) -> int:
 
 
 def default_palette(count: int) -> tuple[str, ...]:
+    require_int(count, "count", 0)
     colors = []
     for i in range(count):
         r, g, b = colorsys.hls_to_rgb(i / count, 0.62, 0.65)
@@ -63,14 +64,10 @@ def _region_path(lo: int, hi: int, k: int, mx, my) -> str:
 
 def render_svg(spec: DiagramSpec) -> str:
     """Render the core diagram for spec.n as a standalone SVG document."""
-    n = spec.n
-    if not isinstance(n, int) or not 2 <= n <= 8:
-        raise InvalidParameterError(f"diagram is drawn for 2 <= n <= 8, got {n!r}")
+    n = require_int(spec.n, "n", 2, 8)
     core = critical_core(n)
     k = core.n_points
-    cs = spec.cell_size or default_cell_size(n)
-    if cs < 1:
-        raise InvalidParameterError(f"cell size must be positive, got {cs}")
+    cs = require_int(spec.cell_size, "cell_size", 0) or default_cell_size(n)
     palette = spec.palette or default_palette(n + 1)
     if len(palette) != n + 1:
         raise InvalidParameterError(

@@ -10,6 +10,19 @@ class InvalidParameterError(ShiftCritError, ValueError):
     """A numeric argument is outside its documented range."""
 
 
+def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value, if it is a plain int with lo <= value (<= hi unless hi is None).
+
+    A count, size or index is an int and nothing else: bool, float, str
+    and other objects with __index__ are refused, so True never counts
+    as 1.  Otherwise raises InvalidParameterError naming the argument.
+    """
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise InvalidParameterError(f"need an integer {bounds}, got {value!r}")
+    return value
+
+
 class InvalidVertexError(ShiftCritError, ValueError):
     """A vertex is malformed or not present in the graph at hand."""
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import or_
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError, SequenceLengthError
+from .errors import InvalidParameterError, SequenceLengthError, require_int
 
 if TYPE_CHECKING:
     from .sequences import SubsetSequence
@@ -29,17 +29,14 @@ if TYPE_CHECKING:
 
 def _full_graph_args(seq: SubsetSequence, n_points: int, skip_pair):
     """First n_points entries of seq and skip_pair as a tuple, after checking both."""
-    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 0:
-        raise InvalidParameterError(f"point count must be a nonnegative integer, got {n_points!r}")
+    require_int(n_points, "n_points", 0)
     if len(seq) < n_points:
         raise SequenceLengthError(f"need at least {n_points} entries, got {len(seq)}")
     if skip_pair is not None:
-        ok = isinstance(skip_pair, (tuple, list)) and len(skip_pair) == 2 and all(
-            isinstance(p, int) and not isinstance(p, bool) for p in skip_pair)
-        if not (ok and 1 <= skip_pair[0] < skip_pair[1] <= n_points):
-            raise InvalidParameterError(
-                f"skip_pair must be two ints (i, j) with 1 <= i < j <= {n_points}, got {skip_pair!r}")
-        skip_pair = tuple(skip_pair)
+        if not isinstance(skip_pair, (tuple, list)) or len(skip_pair) != 2:
+            raise InvalidParameterError(f"skip_pair must be a pair (i, j), got {skip_pair!r}")
+        i = require_int(skip_pair[0], "skip_pair[0]", 1, n_points)
+        skip_pair = (i, require_int(skip_pair[1], "skip_pair[1]", i + 1, n_points))
     return seq.entries[:n_points], skip_pair
 
 

@@ -23,12 +23,11 @@ answers the same methods.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .errors import InvalidParameterError, InvalidVertexError
+from .errors import InvalidVertexError, require_int
 
 
 class Vertex(NamedTuple):
@@ -49,13 +48,13 @@ class Interval(NamedTuple):
 
 
 def as_vertex(v) -> Vertex:
-    """Coerce a pair to a Vertex, checking 1 <= x < y."""
+    """Coerce a pair of plain ints to a Vertex, checking 1 <= x < y."""
     try:
         x, y = v
-        x = operator.index(x)
-        y = operator.index(y)
     except (TypeError, ValueError):
-        raise InvalidVertexError(f"not an ordered integer pair: {v!r}") from None
+        x = y = None
+    if type(x) is not int or type(y) is not int:
+        raise InvalidVertexError(f"not an ordered integer pair: {v!r}")
     if not 1 <= x < y:
         raise InvalidVertexError(f"need 1 <= x < y, got ({x},{y})")
     return Vertex(x, y)
@@ -157,8 +156,7 @@ class ShiftGraph(ReachView):
     n_points: int
 
     def __post_init__(self):
-        if not isinstance(self.n_points, int) or self.n_points < 2:
-            raise InvalidParameterError(f"ground interval needs N >= 2, got {self.n_points!r}")
+        require_int(self.n_points, "n_points", 2)
 
     def reach(self, x: int) -> int:
         return self.n_points
@@ -234,8 +232,7 @@ class CriticalCore(ReachView):
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise InvalidParameterError(f"critical core needs n >= 2, got {self.n!r}")
+        require_int(self.n, "n", 2)
 
     @property
     def n_points(self) -> int:

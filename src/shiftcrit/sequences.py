@@ -33,6 +33,7 @@ from .errors import (
     InvalidParameterError,
     InvalidVertexError,
     SequenceLengthError,
+    require_int,
 )
 from .fullgraph import full_graph_goodness_violation
 from .graphs import GraphView, ShiftGraph, Vertex, as_vertex, critical_core
@@ -44,9 +45,10 @@ _MAX_GROUND = 62
 
 def mask_of(elements: Iterable[int], n: int) -> int:
     """Bitmask of a subset of [1, n]."""
+    require_int(n, "n", 0, _MAX_GROUND)
     m = 0
     for e in elements:
-        if type(e) is bool or not isinstance(e, int) or not 1 <= e <= n:
+        if type(e) is not int or not 1 <= e <= n:
             raise InvalidParameterError(f"element {e!r} is outside [1, {n}]")
         m |= 1 << (e - 1)
     return m
@@ -90,14 +92,11 @@ class SubsetSequence:
     n: int
 
     def __post_init__(self):
-        if type(self.n) is bool or not isinstance(self.n, int) or self.n < 0:
-            raise InvalidParameterError(f"ground size must be a nonnegative integer, got {self.n!r}")
-        if self.n > _MAX_GROUND:
-            raise InvalidParameterError(f"ground size {self.n} exceeds the supported maximum {_MAX_GROUND}")
+        require_int(self.n, "ground size", 0, _MAX_GROUND)
         limit = 1 << self.n
         ents = tuple(self.entries)
         for e in ents:
-            if type(e) is bool or not isinstance(e, int) or not 0 <= e < limit:
+            if type(e) is not int or not 0 <= e < limit:
                 raise InvalidParameterError(f"entry {e!r} is not a subset mask over [1, {self.n}]")
         object.__setattr__(self, "entries", ents)
 
@@ -110,8 +109,7 @@ class SubsetSequence:
 
     def at(self, position: int) -> int:
         """Entry at a 1-based position."""
-        if not 1 <= position <= len(self.entries):
-            raise InvalidParameterError(f"position {position} is outside [1, {len(self.entries)}]")
+        require_int(position, "position", 1, len(self.entries))
         return self.entries[position - 1]
 
     def elements_at(self, position: int) -> tuple[int, ...]:
@@ -129,12 +127,11 @@ class VertexColoring:
     k: int
 
     def __post_init__(self):
-        if type(self.k) is bool or not isinstance(self.k, int) or self.k < 0:
-            raise InvalidParameterError(f"color count must be a nonnegative integer, got {self.k!r}")
+        require_int(self.k, "color count", 0)
         norm = {}
         for v, c in dict(self.colors).items():
             v = as_vertex(v)
-            if type(c) is bool or not isinstance(c, int) or not 1 <= c <= self.k:
+            if type(c) is not int or not 1 <= c <= self.k:
                 raise InvalidParameterError(f"color {c!r} for {v} is outside [1, {self.k}]")
             norm[v] = c
         object.__setattr__(self, "colors", norm)
@@ -165,6 +162,7 @@ def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
     pairs.  Every pair must fit inside a sequence of the given length,
     i.e. j <= length.
     """
+    require_int(length, "length", 0)
     pairs = sorted({tuple(as_vertex(v)) for v in _vertices_of(X)})
     worst = max((j for _, j in pairs), default=0)
     if worst > length:
@@ -371,12 +369,8 @@ def construct_deleted_vertex_sequence(n: int, v) -> SubsetSequence:
     The result is not checked here: the member rows of `verify` check
     it once, with `full_graph_min_coloring_is_proper`.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameterError(f"deleted-vertex construction needs n >= 2, got {n!r}")
     core = critical_core(n)
     v = as_vertex(v)
-    if v not in core:
-        raise InvalidVertexError(f"{v} is not in the critical core for n={n}")
     r = core.least_interval_index(v)
     base = (1 << (n - r)) - 1
     i, j = v
@@ -409,26 +403,13 @@ def descending_full_sequence(n: int, length: int) -> SubsetSequence:
     result is good for every pair (i, j), certifying that the shift
     graph on [1, length] is n-colorable whenever length <= 2^n.
     """
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParameterError(f"ground size must be nonnegative, got {n!r}")
-    if not isinstance(length, int) or not 0 <= length <= (1 << n):
-        raise InvalidParameterError(f"length must lie in [0, 2^{n}], got {length!r}")
+    require_int(n, "n", 0, _MAX_GROUND)
+    require_int(length, "length", 0, 1 << n)
     return SubsetSequence(tuple(islice(_masks_descending(n), length)), n)
 
 
 # ---------------------------------------------------------------------------
 # wire formats
-
-
-def _json_int(value, name: str) -> int:
-    """value if it is an int; JSON true and false read as bools, which are not numbers.
-
-    bool has no subclasses, so `type(value) is bool` is the isinstance test,
-    and the cheaper one; the constructors above test their numbers the same way.
-    """
-    if type(value) is bool or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def sequence_to_dict(seq: SubsetSequence) -> dict:
@@ -441,9 +422,10 @@ def sequence_from_dict(d: dict) -> SubsetSequence:
         entries = d["entries"]
     except (TypeError, KeyError):
         raise InvalidParameterError("sequence document needs keys 'n' and 'entries'") from None
-    _json_int(n, "'n'")
+    # JSON true and false read as bools, which are not numbers
+    require_int(n, "'n'", 0, _MAX_GROUND)
     try:
-        sets = [[_json_int(e, "an element of 'entries'") for e in s] for s in entries]
+        sets = [[require_int(e, "an element of 'entries'", 1, n) for e in s] for s in entries]
     except TypeError:
         raise InvalidParameterError("'entries' must be a list of element lists, "
                                     f"got {entries!r}") from None
@@ -462,7 +444,7 @@ def coloring_from_dict(d: dict) -> VertexColoring:
         rows = d["colors"]
     except (TypeError, KeyError):
         raise InvalidParameterError("coloring document needs keys 'k' and 'colors'") from None
-    _json_int(k, "'k'")
+    require_int(k, "'k'", 0)
     if not isinstance(rows, list):
         raise InvalidParameterError(f"'colors' must be a list of rows, got {rows!r}")
     colors = {}
@@ -471,8 +453,8 @@ def coloring_from_dict(d: dict) -> VertexColoring:
             x, y, c = row["x"], row["y"], row["c"]
         except (TypeError, KeyError):
             raise InvalidParameterError(f"bad coloring row: {row!r}") from None
-        v = Vertex(_json_int(x, "'x'"), _json_int(y, "'y'"))
-        _json_int(c, "'c'")
+        v = Vertex(require_int(x, "'x'", 1), require_int(y, "'y'", x + 1))
+        require_int(c, "'c'", 1, k)
         if v in colors:
             raise InvalidParameterError(f"coloring document colors {v} twice")
         colors[v] = c

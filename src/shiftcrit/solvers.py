@@ -39,6 +39,7 @@ from .errors import (
     InvalidParameterError,
     InvalidVertexError,
     SequenceLengthError,
+    require_int,
 )
 from .graphs import GraphView
 from .sequences import (
@@ -56,12 +57,14 @@ from .sequences import (
 )
 
 _MEMO_CAP = 1 << 20  # failure-memo entries; at the cap lookups go on, inserts stop
+_MAX_SEARCH_COLORS = 12  # the sequence engine's forward-checking tables hold 4^colors bits
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Node and wall-clock limits for a single solver query.
 
+    max_nodes is an int >= 1 and max_seconds a positive int or float;
     max_seconds = inf means no time limit; NaN is rejected.
     """
 
@@ -69,11 +72,11 @@ class SearchBudget:
     max_seconds: float = 600.0
 
     def __post_init__(self):
+        require_int(self.max_nodes, "max_nodes", 1)
         # written as `not ... >` so that NaN, which fails every comparison, is rejected
-        if not (self.max_nodes >= 1 and self.max_seconds > 0):
+        if type(self.max_seconds) not in (int, float) or not self.max_seconds > 0:
             raise InvalidParameterError(
-                f"budget limits must be positive, got max_nodes={self.max_nodes!r}, "
-                f"max_seconds={self.max_seconds!r}")
+                f"need a positive number of seconds, got max_seconds={self.max_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +167,8 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     Masks are placed over min(k, ceil(log2 n_points)) colors, since the
     descending full sequence over that many is good for every pair of
     [1, n_points]; the certificate is still stated over [1, k].  More
-    than 12 colors are rejected: the forward-checking tables hold
-    4^colors bits.
+    than _MAX_SEARCH_COLORS colors are rejected: the forward-checking
+    tables hold 4^colors bits.
 
     A failure memo records every exhausted branch point under one int
     key packing the branch index, the first-use color count and
@@ -177,16 +180,12 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     The search keeps one frame per branch index on an explicit stack,
     so its depth is not bounded by the interpreter's recursion limit.
     """
-    if not isinstance(n_points, int) or n_points < 2:
-        raise InvalidParameterError(f"ground interval needs N >= 2, got {n_points!r}")
-    if not isinstance(k, int) or k < 0:
-        raise InvalidParameterError(f"color count must be nonnegative, got {k!r}")
-    if k > _MAX_GROUND:
-        raise InvalidParameterError(f"color count {k} exceeds the supported maximum {_MAX_GROUND}")
+    require_int(n_points, "n_points", 2)
+    require_int(k, "k", 0, _MAX_GROUND)
     colors = min(k, (n_points - 1).bit_length())
-    if colors > 12:
+    if colors > _MAX_SEARCH_COLORS:
         raise InvalidParameterError(f"k = {k} on [1, {n_points}] needs a {colors}-color "
-                                    f"search; at most 12 are supported")
+                                    f"search; at most {_MAX_SEARCH_COLORS} are supported")
     if budget is None:
         budget = SearchBudget()
     try:
@@ -420,8 +419,7 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
     no machinery with the sequence engine.
     """
     view = as_view(view)
-    if not isinstance(k, int) or k < 0:
-        raise InvalidParameterError(f"color count must be nonnegative, got {k!r}")
+    require_int(k, "k", 0)
     if budget is None:
         budget = SearchBudget()
     verts, adj = _adjacency(view)

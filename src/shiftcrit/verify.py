@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError, ShiftCritError
+from .errors import InvalidParameterError, ShiftCritError, require_int
 from .graphs import ShiftGraph, build_shift_graph, critical_core
 from .sequences import (
     coloring_from_sequence,
@@ -32,6 +32,7 @@ from .sequences import (
 from .solvers import (
     ColorabilityResult,
     SearchBudget,
+    _MAX_SEARCH_COLORS,
     _adjacency,
     chromatic_number,
     k_colorable_bb,
@@ -92,11 +93,6 @@ class TheoremReport:
             "skipped": list(self.skipped),
             "certificates": dict(self.certificates),
         }
-
-
-def _require_n(n) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameterError(f"verification pipelines need n >= 2, got {n!r}")
 
 
 def _member_rows(report: TheoremReport, n: int, prefix: str = "") -> None:
@@ -163,7 +159,6 @@ def verify_criticality(n: int, budget: SearchBudget | None = None,
     exhaustive, and not at all with `members_only`; otherwise the report
     lists the untested claim under `skipped`.
     """
-    _require_n(n)
     budget = budget or SearchBudget()
     report = TheoremReport("2", n)
     _member_rows(report, n)
@@ -182,8 +177,15 @@ def verify_criticality(n: int, budget: SearchBudget | None = None,
 
 def _core_chromatic_rows(report: TheoremReport, n: int, budget: SearchBudget,
                          prefix: str = "") -> None:
-    """The upper and the lower bound row of chi(W(n)) = n + 1; see verify_core_chromatic."""
+    """The upper and the lower bound row of chi(W(n)) = n + 1; see verify_core_chromatic.
+
+    The lower bound searches n colors, so an n beyond the sequence
+    engine's limit is refused before the 2^n + 1 entries are built.
+    """
     core = critical_core(n)
+    if n > _MAX_SEARCH_COLORS:
+        raise InvalidParameterError(f"the lower bound for n = {n} searches {n} colors; "
+                                    f"at most {_MAX_SEARCH_COLORS} are supported")
     N = core.n_points
 
     seq = descending_full_sequence(n + 1, N)
@@ -216,7 +218,6 @@ def verify_core_chromatic(n: int, budget: SearchBudget | None = None) -> Theorem
     and readers of earlier reports find it under the same name.  These
     two rows are also step (a) of verify_uniqueness.
     """
-    _require_n(n)
     report = TheoremReport("3", n)
     _core_chromatic_rows(report, n, budget or SearchBudget())
     return report
@@ -297,7 +298,6 @@ def verify_uniqueness(n: int, budget: SearchBudget | None = None) -> TheoremRepo
     independent exhaustive enumeration of all induced subgraphs
     cross-checks the conclusion.
     """
-    _require_n(n)
     budget = budget or SearchBudget()
     report = TheoremReport("1", n)
 
@@ -333,8 +333,7 @@ def verify_chromatic_formula(n_max: int, budget: SearchBudget | None = None) -> 
     bound, re-checked by the goodness test.  Within the exact range the
     report also confirms chi steps exactly at N = 2^v + 1.
     """
-    if not isinstance(n_max, int) or n_max < 2:
-        raise InvalidParameterError(f"need n_max >= 2, got {n_max!r}")
+    require_int(n_max, "n_max", 2)
     budget = budget or SearchBudget()
     report = TheoremReport("formula", n_max)
     exact_hi = min(n_max, 9)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftcrit import cli
+from shiftcrit import cli, verify
 from shiftcrit.cli import main
 from shiftcrit.graphs import build_shift_graph, critical_core, graph_to_json_dict
 from shiftcrit.solvers import chromatic_number
@@ -149,6 +149,16 @@ def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("SHIFTCRIT_MAX_SECONDS", "60")
     code, out, _ = run(capsys, "chi", "5")
     assert code == 0 and "chi = 3" in out
+
+
+@pytest.mark.parametrize("theorem", ("1", "3"))
+def test_core_chromatic_past_the_color_limit_fails_before_building(capsys, monkeypatch, theorem):
+    def built(*args):
+        raise AssertionError("the upper-bound sequence was built")
+
+    monkeypatch.setattr(verify, "descending_full_sequence", built)
+    code, _, err = run(capsys, "verify", theorem, "--n", "20")
+    assert code == 2 and "at most 12" in err
 
 
 def test_nan_time_budget_is_a_usage_error(capsys, monkeypatch):

@@ -189,3 +189,41 @@ def test_unused_import_finder_flags_only_unreferenced_names():
 def test_every_module_import_is_used(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused == REEXPORTS.get(path.stem, set())
+
+
+def integer_checks(source: str) -> list[int]:
+    """Lines that test for an int or a bool on their own.
+
+    The forms are isinstance(_, int), isinstance(_, bool), `type(_) is bool`
+    and operator.index; `errors.require_int` is the one place for that rule.
+    """
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            hit = any(getattr(c, "id", None) in ("int", "bool") for c in classes)
+        elif isinstance(node, ast.Compare):
+            hit = (isinstance(node.left, ast.Call) and getattr(node.left.func, "id", None) == "type"
+                   and any(getattr(c, "id", None) == "bool" for c in node.comparators))
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "index" and getattr(node.value, "id", None) == "operator"
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "operator" and any(a.name == "index" for a in node.names)
+        else:
+            hit = False
+        if hit:
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_integer_check_finder_flags_each_form():
+    source = ("import operator\nfrom operator import index, or_\n"
+              "isinstance(a, int)\nisinstance(a, (tuple, bool))\ntype(a) is bool\n"
+              "operator.index(a)\ntype(a) is int\nisinstance(a, list)\nb.index(a)\n")
+    assert integer_checks(source) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (ROOT / "src" / "shiftcrit").glob("*.py")
+                                        if p.name != "errors.py"), ids=lambda p: p.stem)
+def test_only_errors_checks_integers(path):
+    assert integer_checks(path.read_text(encoding="utf-8")) == []

@@ -34,9 +34,11 @@ from shiftcrit import (
     sequence_from_dict,
     sequence_to_dict,
 )
+import shiftcrit as sc
 from shiftcrit import fullgraph
 from shiftcrit.sequences import (
     _masks_descending,
+    constraint_pairs,
     format_mask,
     full_graph_goodness_violation,
     full_graph_min_coloring_is_proper,
@@ -529,6 +531,67 @@ def test_sequence_json_shape():
 def test_readers_reject_malformed_documents(read, doc, match):
     with pytest.raises(InvalidParameterError, match=match):
         read(doc)
+
+
+# one call per integer argument of each public entry point, given `bad` for it
+INT_ARGUMENTS = {
+    "ShiftGraph": lambda bad: sc.ShiftGraph(bad),
+    "build_shift_graph": lambda bad: sc.build_shift_graph(bad),
+    "CriticalCore": lambda bad: sc.CriticalCore(bad),
+    "critical_core": lambda bad: sc.critical_core(bad),
+    "SubsetSequence.n": lambda bad: SubsetSequence((), bad),
+    "SubsetSequence.entry": lambda bad: SubsetSequence((bad,), 2),
+    "SubsetSequence.at": lambda bad: SubsetSequence((1,), 1).at(bad),
+    "VertexColoring.k": lambda bad: VertexColoring({}, bad),
+    "VertexColoring.color": lambda bad: VertexColoring({(1, 2): bad}, 2),
+    "mask_of.n": lambda bad: mask_of([1], bad),
+    "mask_of.element": lambda bad: mask_of([bad], 3),
+    "constraint_pairs.length": lambda bad: constraint_pairs([], bad),
+    "descending_full_sequence.n": lambda bad: descending_full_sequence(bad, 1),
+    "descending_full_sequence.length": lambda bad: descending_full_sequence(2, bad),
+    "construct_deleted_vertex_sequence": lambda bad: construct_deleted_vertex_sequence(bad, (1, 2)),
+    "sequence_from_dict.n": lambda bad: sequence_from_dict({"n": bad, "entries": [[1]]}),
+    "sequence_from_dict.entries": lambda bad: sequence_from_dict({"n": 2, "entries": [[bad]]}),
+    "coloring_from_dict.k": lambda bad: coloring_from_dict({"k": bad, "colors": []}),
+    "coloring_from_dict.x": lambda bad: coloring_from_dict(
+        {"k": 2, "colors": [{"x": bad, "y": 2, "c": 1}]}),
+    "coloring_from_dict.y": lambda bad: coloring_from_dict(
+        {"k": 2, "colors": [{"x": 1, "y": bad, "c": 1}]}),
+    "coloring_from_dict.c": lambda bad: coloring_from_dict(
+        {"k": 2, "colors": [{"x": 1, "y": 2, "c": bad}]}),
+    "full_graph_goodness_violation.n_points": lambda bad: full_graph_goodness_violation(
+        seq_of([{1}, set()], 1), bad),
+    "full_graph_goodness_violation.i": lambda bad: full_graph_goodness_violation(
+        seq_of([{1}, set(), set()], 1), 3, skip_pair=(bad, 2)),
+    "full_graph_goodness_violation.j": lambda bad: full_graph_goodness_violation(
+        seq_of([{1}, set(), set()], 1), 3, skip_pair=(1, bad)),
+    "full_graph_min_coloring_is_proper": lambda bad: full_graph_min_coloring_is_proper(
+        seq_of([{1}, set()], 1), bad),
+    "k_colorable_via_sequences.n_points": lambda bad: sc.k_colorable_via_sequences(bad, 2, []),
+    "k_colorable_via_sequences.k": lambda bad: sc.k_colorable_via_sequences(
+        3, bad, build_shift_graph(3)),
+    "k_colorable_bb": lambda bad: sc.k_colorable_bb(build_shift_graph(3), bad),
+    "SearchBudget.max_nodes": lambda bad: sc.SearchBudget(max_nodes=bad),
+    "SearchBudget.max_seconds": lambda bad: sc.SearchBudget(max_seconds=bad),
+    "verify_criticality": lambda bad: sc.verify_criticality(bad),
+    "verify_core_chromatic": lambda bad: sc.verify_core_chromatic(bad),
+    "verify_uniqueness": lambda bad: sc.verify_uniqueness(bad),
+    "verify_chromatic_formula": lambda bad: sc.verify_chromatic_formula(bad),
+    "DiagramSpec.n": lambda bad: sc.render_svg(sc.DiagramSpec(bad)),
+    "DiagramSpec.cell_size": lambda bad: sc.render_svg(sc.DiagramSpec(2, cell_size=bad)),
+    "default_palette": lambda bad: sc.default_palette(bad),
+    "as_vertex.x": lambda bad: sc.as_vertex((bad, 2)),
+    "as_vertex.y": lambda bad: sc.as_vertex((1, bad)),
+}
+
+
+@pytest.mark.parametrize("target, bad", [
+    (t, bad) for t in sorted(INT_ARGUMENTS) for bad in (True, False, 2.0, "3", None)
+    if (t, bad) != ("SearchBudget.max_seconds", 2.0)])  # seconds may be a float
+def test_integer_arguments_are_plain_ints(target, bad):
+    error = InvalidVertexError if target.startswith("as_vertex") else InvalidParameterError
+    with pytest.raises(error):
+        INT_ARGUMENTS[target](bad)
 
 
 def test_coloring_json_round_trip():
