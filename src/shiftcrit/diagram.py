@@ -32,7 +32,7 @@ class DiagramSpec:
 
 
 def default_cell_size(n: int) -> int:
-    return max(3, min(32, 1024 // (1 << n)))
+    return max(3, min(32, 1024 // (1 << require_int(n, "n", 0))))
 
 
 def default_palette(count: int) -> tuple[str, ...]:

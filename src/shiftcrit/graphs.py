@@ -92,7 +92,8 @@ class ReachView(GraphView):
     A subclass gives n_points and reach(x), with x <= reach(x) <= n_points
     on the ground interval.  The vertices, edges and neighbors are then
     arithmetic on reach: the chain (x, y) ~ (y, z) is an edge exactly
-    when y <= reach(x) and z <= reach(y).
+    when y <= reach(x) and z <= reach(y).  reach runs in every vertex and
+    edge loop, so it checks nothing: callers pass an int x.
     """
 
     def __contains__(self, v) -> bool:
@@ -251,7 +252,8 @@ class CriticalCore(ReachView):
         the largest l with 2^l <= x, l = bit_length(x) - 1, and that I_l
         covers x: for l < n, hi(I_l) - (2^(l+1) - 1) =
         (2^l - 1)(2^(n-l) - 2) + 1 > 0, and hi(I_n) = 2^n + 1.  So
-        reach(x) = hi(I_l) = 2^n - 2^(n + 1 - bit_length(x)) + 2.
+        reach(x) = hi(I_l) = 2^n - 2^(n + 1 - bit_length(x)) + 2.  x is
+        an int and is not checked (see ReachView).
         """
         if not 1 <= x <= self.n_points:
             return 0

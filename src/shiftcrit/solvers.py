@@ -6,16 +6,17 @@ sequence over subsets of [1, k] avoiding forward containment on those
 pairs, so backtracking over sequence entries decides colorability.  It
 searches all good sequences, with forward checking on the masks still
 placeable at later positions (Haralick & Elliott 1980), on an explicit
-stack rather than by recursion.
+stack rather than by recursion.  Its whole search state is one int: the
+feasible-mask bitsets of the remaining branch positions side by side.
 
 The first engine also keeps a failure memo (nogood recording, Dechter
 1990): the state at a branch point is the branch index,
 the number of colors introduced so far and the feasible-mask bitset of
-every remaining branch position.  Everything the rest of the search
-reads is a function of that state, so a state whose subtree was
-exhausted once is skipped when it recurs.  Only exhausted subtrees are
-recorded, never budget cut-offs, and the search order is unchanged, so
-certificates are identical with and without the memo.
+every remaining branch position, that is, the one int.  Everything the
+rest of the search reads is a function of that state, so a state whose
+subtree was exhausted once is skipped when it recurs.  Only exhausted
+subtrees are recorded, never budget cut-offs, and the search order is
+unchanged, so certificates are identical with and without the memo.
 
 The second engine is a classical branch-and-bound vertex coloring with
 a greedy clique precoloring and the first-use color symmetry cap.  It
@@ -170,15 +171,24 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     than _MAX_SEARCH_COLORS colors are rejected: the forward-checking
     tables hold 4^colors bits.
 
-    A failure memo records every exhausted branch point under one int
-    key packing the branch index, the first-use color count and
-    feasible[q] for each remaining branch position q.  The key is sound
-    because with forward checking `entries` is read only to build the
-    final certificate.  A memo hit counts as a prune and costs no node;
-    at _MEMO_CAP entries the memo stops growing but is still consulted.
+    The search state is one int with a 2^colors-bit field per branch
+    position, the first position in the highest field: bit m of a field
+    is set while mask m is still placeable there.  The state at branch
+    index bi keeps only the fields from bi on, the low bits, since no
+    placed position is read again.  Placing m at bi drops its field and
+    clears every superset of m from the field of each right partner;
+    an emptied field is a wipe-out, and what is left is the state at
+    bi + 1.  The failure memo keys a branch point by its state, the
+    first-use color count and bi.  The key is sound because with
+    forward checking `entries` is read only to build the final
+    certificate.  A memo hit counts as a prune and costs no node; at
+    _MEMO_CAP entries the memo stops growing but is still consulted.
 
-    The search keeps one frame per branch index on an explicit stack,
-    so its depth is not bounded by the interpreter's recursion limit.
+    Each branch index has one frame on an explicit stack, so the depth
+    is not bounded by the interpreter's recursion limit: its memo key,
+    its remaining candidate masks, the colors in use and its state.
+    Ints are immutable, so backtracking pops a frame and restores
+    nothing.
     """
     require_int(n_points, "n_points", 2)
     require_int(k, "k", 0, _MAX_GROUND)
@@ -192,123 +202,78 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
         pairs = constraint_pairs(X, n_points)
     except SequenceLengthError as e:
         raise InvalidVertexError(str(e)) from None
+    if not pairs:
+        return ColorabilityResult("yes", k, "sequence", 0, 0,
+                                  certificate_sequence=SubsetSequence((0,) * n_points, k),
+                                  certificate_coloring=VertexColoring({}, k))
 
-    right_partners: list[list[int]] = [[] for _ in range(n_points + 1)]
-    for i, j in pairs:  # sorted pairs, so each list ascends
-        right_partners[i].append(j)
     branch_positions = sorted({p for ij in pairs for p in ij})
     n_branch = len(branch_positions)
-
-    # forward checking: feasible[p] is the bitset of masks still placeable at p;
-    # placing m at i removes every superset of m from each right partner of i
     n_masks = 1 << colors
-    up_bits = [1 << m for m in range(n_masks)]
+    up_bits = [1 << m for m in range(n_masks)]  # the supersets of m
     for t in range(colors):
         tb = 1 << t
         for m in range(n_masks):
             if not m & tb:
                 up_bits[m] |= up_bits[m | tb]
     all_bits = (1 << n_masks) - 1
-    not_up = [all_bits ^ u for u in up_bits]
-    feasible = [all_bits] * (n_points + 1)
+    shift = [(n_branch - 1 - t) * n_masks for t in range(n_branch)]
+    index = {p: t for t, p in enumerate(branch_positions)}
+    partner_shifts: list[list[int]] = [[] for _ in range(n_branch)]
+    for i, j in pairs:  # sorted pairs, so each right partner list ascends
+        partner_shifts[index[i]].append(shift[index[j]])
 
     masks_desc = list(_masks_descending(colors))
     clock = _Clock(budget)
     entries = [0] * (n_points + 1)
     memo: set[int] = set()
-
-    def memo_key(bi: int, used: int) -> int:
-        """Pack the search state at branch index bi into one int.
-
-        One fixed-width field per remaining position, with bi and the
-        color count in the low digits so keys of different depths never
-        collide.
-        """
-        key = 0
-        for q in branch_positions[bi:]:
-            key = (key << n_masks) | feasible[q]
-        return (key * (colors + 1) + used.bit_length()) * n_branch + bi
-
-    def undo(trail) -> None:
-        for j, old in reversed(trail):
-            feasible[j] = old
-
-    # frame bi: memo key, remaining candidate masks, colors in use, FC trail of
-    # the candidate being explored.  `used` is always a prefix [1, t] by the
-    # first-use canonicalization: a candidate may only bring in the next colors.
-    key_at = [0] * n_branch
-    cands_at: list = [None] * n_branch
-    used_at = [0] * n_branch
-    trail_at: list = [()] * n_branch
-    found = n_branch == 0
-    out_of_budget = False
-    bi = 0
-    if not found:
-        key_at[0], cands_at[0] = memo_key(0, 0), iter(masks_desc)
-    while not found:
-        p = branch_positions[bi]
-        used = used_at[bi]
-        for m in cands_at[bi]:
+    full = (1 << n_branch * n_masks) - 1
+    # `used` is always a prefix [1, t] by the first-use canonicalization:
+    # a candidate may only bring in the next colors.  The root's key is the
+    # child key below at bi = 0 with no color in use.
+    frames = [(full * (colors + 1) * n_branch, iter(masks_desc), 0, full)]
+    while frames:
+        bi = len(frames) - 1
+        key, cands, used, state = frames[-1]
+        p, top = branch_positions[bi], shift[bi]
+        for m in cands:
             if not clock.tick():
-                out_of_budget = True
-                break
+                return ColorabilityResult("inconclusive", k, "sequence", clock.nodes,
+                                          clock.prunes, memo_entries=len(memo))
             fresh = m & ~used
             if fresh and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length():
                 clock.prunes += 1
                 continue
-            if not (feasible[p] >> m) & 1:
+            if not state >> top + m & 1:
                 clock.prunes += 1
                 continue
-            trail = ()
-            if right_partners[p]:
-                trail = []
-                nu = not_up[m]
-                dead = False
-                for j in right_partners[p]:
-                    old = feasible[j]
-                    new = old & nu
-                    if new != old:
-                        feasible[j] = new
-                        trail.append((j, old))
-                        if new == 0:
-                            dead = True
-                            break
-                if dead:
-                    clock.prunes += 1
-                    undo(trail)
-                    continue
-            entries[p] = m
-            if bi + 1 == n_branch:
-                found = True
-                break
-            key = memo_key(bi + 1, used | m)
-            if key in memo:
-                clock.prunes += 1
-                undo(trail)
-                continue
-            trail_at[bi] = trail
-            bi += 1
-            key_at[bi], cands_at[bi], used_at[bi] = key, iter(masks_desc), used | m
-            break
+            new, up = state & (1 << top) - 1, up_bits[m]  # the fields after bi
+            for s in partner_shifts[bi]:
+                new &= ~(up << s)
+                if not new >> s & all_bits:
+                    break  # a wipe-out
+            else:
+                entries[p] = m
+                if bi + 1 == n_branch:
+                    seq = SubsetSequence(tuple(entries[1:]), k)
+                    # coloring_from_sequence checks goodness and raises GoodnessError
+                    # on a bad certificate
+                    return ColorabilityResult(
+                        "yes", k, "sequence", clock.nodes, clock.prunes,
+                        certificate_sequence=seq,
+                        certificate_coloring=coloring_from_sequence(seq, pairs),
+                        memo_entries=len(memo))
+                child = (new * (colors + 1) + (used | m).bit_length()) * n_branch + bi + 1
+                if child not in memo:
+                    frames.append((child, iter(masks_desc), used | m, new))
+                    break  # descend; `cands` resumes here once the child is popped
+            clock.prunes += 1  # a wipe-out or a memo hit
         else:
             # every candidate at bi failed: its subtree is exhausted
             if len(memo) < _MEMO_CAP:
-                memo.add(key_at[bi])
-            if bi == 0:
-                break
-            bi -= 1
-            undo(trail_at[bi])
-        if out_of_budget:
-            break
-
-    if not found:
-        return ColorabilityResult("inconclusive" if out_of_budget else "no", k, "sequence",
-                                  clock.nodes, clock.prunes, memo_entries=len(memo))
-    seq = SubsetSequence(tuple(entries[1:]), k)
-    # coloring_from_sequence checks goodness and raises GoodnessError on a bad certificate
-    coloring = coloring_from_sequence(seq, pairs) if pairs else VertexColoring({}, k)
-    return ColorabilityResult("yes", k, "sequence", clock.nodes, clock.prunes,
-                              certificate_sequence=seq, certificate_coloring=coloring,
+                memo.add(key)
+            frames.pop()
+    return ColorabilityResult("no", k, "sequence", clock.nodes, clock.prunes,
                               memo_entries=len(memo))
 
 

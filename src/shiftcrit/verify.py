@@ -16,6 +16,7 @@ solver that ran out of budget) marks the whole report inconclusive.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ShiftCritError, require_int
@@ -95,11 +96,23 @@ class TheoremReport:
         }
 
 
-def _member_rows(report: TheoremReport, n: int, prefix: str = "") -> None:
-    """One constructive check per core vertex: G minus the vertex is n-colorable."""
+def _member_rows(report: TheoremReport, n: int, budget: SearchBudget,
+                 prefix: str = "") -> None:
+    """One constructive check per core vertex: G minus the vertex is n-colorable.
+
+    The rows share the budget's time limit.  Once it has passed, one
+    inconclusive row stands for the members not yet checked, and the
+    rows stop there.
+    """
     core = critical_core(n)
     N = core.n_points
-    for v in core.vertices():
+    start = time.monotonic()
+    for done, v in enumerate(core.vertices()):
+        if time.monotonic() - start > budget.max_seconds:
+            report.add(f"{prefix}deleting any of the {core.vertex_count() - done} core vertices "
+                       f"from ({v.x},{v.y}) on leaves an {n}-colorable graph",
+                       "not checked: the time budget ran out", "inconclusive")
+            return
         ref = f"deleted-vertex:({v.x},{v.y})"
         payload = None
         try:
@@ -154,14 +167,15 @@ def verify_criticality(n: int, budget: SearchBudget | None = None,
                        members_only: bool = False) -> TheoremReport:
     """Check that deleting a vertex drops the chromatic number iff it is in the core.
 
-    Core members get the polynomial constructive check.  Non-members are
+    Core members get the polynomial constructive check, row by row until
+    the budget's time limit passes (see _member_rows).  Non-members are
     refuted by both engines only for n <= 3, where that search is
     exhaustive, and not at all with `members_only`; otherwise the report
     lists the untested claim under `skipped`.
     """
     budget = budget or SearchBudget()
     report = TheoremReport("2", n)
-    _member_rows(report, n)
+    _member_rows(report, n, budget)
     if n <= 3 and not members_only:
         _nonmember_rows(report, n, budget)
     else:
@@ -305,7 +319,7 @@ def verify_uniqueness(n: int, budget: SearchBudget | None = None) -> TheoremRepo
     a_status = report.status
 
     start_b = len(report.checks)
-    _member_rows(report, n, prefix="(b) ")
+    _member_rows(report, n, budget, prefix="(b) ")
     b_statuses = [c.status for c in report.checks[start_b:]]
 
     core = critical_core(n)

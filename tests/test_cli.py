@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -120,6 +121,21 @@ def test_verify_members_only(capsys):
 def test_verify_inconclusive_exit(capsys):
     code, out, _ = run(capsys, "verify", "3", "--n", "3", "--max-nodes", "5")
     assert code == 3 and "inconclusive" in out
+
+
+def test_member_rows_stop_at_the_time_budget(capsys, tmp_path):
+    # W(13) has 33,460,223 members at tens of ms each; one row stands for the rest
+    target = tmp_path / "r.json"
+    start = time.monotonic()
+    code, _, _ = run(capsys, "verify", "2", "--n", "13", "--members-only",
+                       "--max-seconds", "1", "--out", str(target))
+    assert code == 3 and time.monotonic() - start < 10
+    report = json.loads(target.read_text())
+    assert report["status"] == "inconclusive"
+    *rows, last = report["checks"]
+    assert rows and all(c["status"] == "pass" for c in rows)
+    assert last["status"] == "inconclusive"
+    assert f"the {33_460_223 - len(rows)} core vertices" in last["claim"]
 
 
 def test_diagram_writes_svg(capsys, tmp_path):

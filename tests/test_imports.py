@@ -227,3 +227,25 @@ def test_integer_check_finder_flags_each_form():
                                         if p.name != "errors.py"), ids=lambda p: p.stem)
 def test_only_errors_checks_integers(path):
     assert integer_checks(path.read_text(encoding="utf-8")) == []
+
+
+# the two engines share no search code (ROADMAP): the sequence engine calls none of
+# branch-and-bound's helpers, and branch-and-bound reads none of the engine's tables
+BB_HELPERS = {"_adjacency", "_most_saturated", "_greedy_clique", "_dsatur"}
+SEQUENCE_TABLES = {"_masks_descending", "masks_desc", "up_bits", "shift", "partner_shifts"}
+
+
+def names_by_function(source: str) -> dict[str, set[str]]:
+    """The names and attribute names each module-level function mentions."""
+    return {f.name: {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(f)} - {None}
+            for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+
+
+def test_the_two_engines_share_no_search_code():
+    names = names_by_function((ROOT / "src" / "shiftcrit" / "solvers.py").read_text("utf-8"))
+    sequence = names["k_colorable_via_sequences"]
+    assert SEQUENCE_TABLES <= sequence  # the engine still uses these names
+    assert not sequence & BB_HELPERS
+    for bb in ("_dsatur", "k_colorable_bb"):
+        assert not names[bb] & SEQUENCE_TABLES, bb

@@ -35,7 +35,7 @@ from shiftcrit import (
     sequence_to_dict,
 )
 import shiftcrit as sc
-from shiftcrit import fullgraph
+from shiftcrit import diagram, fullgraph
 from shiftcrit.sequences import (
     _masks_descending,
     constraint_pairs,
@@ -579,6 +579,7 @@ INT_ARGUMENTS = {
     "verify_chromatic_formula": lambda bad: sc.verify_chromatic_formula(bad),
     "DiagramSpec.n": lambda bad: sc.render_svg(sc.DiagramSpec(bad)),
     "DiagramSpec.cell_size": lambda bad: sc.render_svg(sc.DiagramSpec(2, cell_size=bad)),
+    "default_cell_size": lambda bad: diagram.default_cell_size(bad),
     "default_palette": lambda bad: sc.default_palette(bad),
     "as_vertex.x": lambda bad: sc.as_vertex((bad, 2)),
     "as_vertex.y": lambda bad: sc.as_vertex((1, bad)),

@@ -151,13 +151,41 @@ def test_sequence_engine_agrees_with_bb_on_cores_and_full_graphs():
         assert seq.decision == bb.decision == want, (npts, k)
 
 
-def test_memo_refutes_w4_within_100k_nodes():
-    core4 = critical_core(4)
-    r = k_colorable_via_sequences(core4.n_points, 4, core4,
-                                  SearchBudget(max_nodes=100_000, max_seconds=60))
-    assert r.decision == "no"
-    assert r.refutation_record()["conclusive"] is True
-    assert (r.nodes, r.memo_entries) == (69_648, 4_353)
+def core_minus(n, pair):
+    core = critical_core(n)
+    return core.induced([v for v in core.vertex_list() if (v.x, v.y) != pair])
+
+
+# the sequence engine's (decision, nodes, prunes, memo entries, certificate entries):
+# its search order and memo keys fix every count, so a change to how it keeps its
+# state must leave them all as they are
+ENGINE_COUNTS = [
+    ("W(2)", lambda: critical_core(2), 2, None, ("no", 24, 19, 6, None)),
+    ("W(2)", lambda: critical_core(2), 3, None, ("yes", 12, 7, 0, (7, 6, 5, 3, 6))),
+    ("W(3)", lambda: critical_core(3), 3, None, ("no", 552, 484, 69, None)),
+    ("W(3)", lambda: critical_core(3), 4, None,
+     ("yes", 38, 29, 0, (15, 14, 13, 11, 7, 12, 10, 9, 14))),
+    ("W(4)", lambda: critical_core(4), 4, None, ("no", 69_648, 65_296, 4_353, None)),
+    ("W(4)", lambda: critical_core(4), 5, None,
+     ("yes", 129, 112, 0, (31, 30, 29, 27, 23, 15, 28, 26, 25, 22, 21, 19, 14, 13, 28, 11, 30))),
+    ("W(4) - (2,7)", lambda: core_minus(4, (2, 7)), 4, None,
+     ("yes", 10_732, 10_052, 663, (15, 14, 13, 11, 7, 9, 14, 12, 10, 6, 5, 3, 8, 4, 2, 1, 14))),
+    ("shift graph 17", lambda: build_shift_graph(17), 4, None, ("no", 15_952, 14_956, 997, None)),
+    ("W(5)", lambda: critical_core(5), 5, 300_000,
+     ("inconclusive", 300_001, 290_613, 9_370, None)),
+]
+
+
+@pytest.mark.parametrize("make, k, max_nodes, expected", [c[1:] for c in ENGINE_COUNTS],
+                         ids=[f"{c[0]} k={c[2]}" for c in ENGINE_COUNTS])
+def test_sequence_engine_counts_are_pinned(make, k, max_nodes, expected):
+    view = make()
+    budget = SearchBudget(max_nodes=max_nodes or 2_000_000, max_seconds=600)
+    r = k_colorable_via_sequences(view.n_points, k, view, budget)
+    seq = r.certificate_sequence
+    assert (r.decision, r.nodes, r.prunes, r.memo_entries, seq and seq.entries) == expected
+    if seq is not None:
+        assert seq.n == k and is_good(seq, view)
 
 
 def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
@@ -174,17 +202,6 @@ def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
     assert r.decision == "yes"
     assert is_good(r.certificate_sequence, path)
     assert sys.getrecursionlimit() == limit
-
-
-def test_memo_refutes_shift_graph_17_at_k4():
-    assert k_colorable_via_sequences(17, 4, build_shift_graph(17), TIGHT).decision == "no"
-
-
-def test_w4_is_5_colorable_with_good_certificate():
-    core4 = critical_core(4)
-    r = k_colorable_via_sequences(core4.n_points, 5, core4, TIGHT)
-    assert r.decision == "yes"
-    assert is_good(r.certificate_sequence, core4)
 
 
 @pytest.mark.parametrize("k", (13, 62))
