@@ -5,8 +5,9 @@ chi (exact chromatic number with certificates), verify (run a
 verification pipeline), diagram (render the core as SVG).
 
 Exit codes: 0 success or pass, 1 verification failure, 2 usage or I/O
-error, 3 inconclusive within budget.  SHIFTCRIT_MAX_SECONDS overrides
-the default time budget; explicit flags beat the environment.
+error, 3 inconclusive within budget or out of memory.
+SHIFTCRIT_MAX_SECONDS overrides the default time budget; explicit flags
+beat the environment.
 
 Every output is streamed to stdout or to its --out file chunk by chunk,
 and an --out file appears only once it is complete.
@@ -295,12 +296,12 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (InvalidParameterError, InvalidVertexError) as e:
+    except (InvalidParameterError, InvalidVertexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; the result is inconclusive", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """Exact k-colorability of shift-graph views, by two independent routes.
 
+Both engines take one call shape, (view, k, budget=None), where the
+view is a shift graph, a core or an induced subgraph and anything else
+is refused.  Both count nodes on one clock, which reads the time on
+every node, so a search stops within one node of its time limit.
+
 The first engine decides whether a good sequence exists: a proper
 k-coloring of the constrained pairs is the same thing as a length-N
 sequence over subsets of [1, k] avoiding forward containment on those
@@ -35,13 +40,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import (
-    ConstructionError,
-    InvalidParameterError,
-    InvalidVertexError,
-    SequenceLengthError,
-    require_int,
-)
+from .errors import ConstructionError, InvalidParameterError, require_int
 from .graphs import GraphView
 from .sequences import (
     SubsetSequence,
@@ -50,7 +49,6 @@ from .sequences import (
     _masks_descending,
     coloring_from_sequence,
     coloring_to_dict,
-    constraint_pairs,
     # not called here: kept as a name of this module for callers that look
     # it up here, such as the benchmark's tracer, which wraps it
     is_good,
@@ -135,41 +133,41 @@ def as_view(x):
 
 
 class _Clock:
-    """Budget bookkeeping shared by both engines."""
+    """Budget bookkeeping shared by both engines; the clock is read on every node.
+
+    A DSATUR node scans every vertex, so on a large view a few thousand
+    nodes take seconds.
+    """
 
     def __init__(self, budget: SearchBudget):
-        self.budget = budget
-        self.start = time.monotonic()
+        self.max_nodes = budget.max_nodes
+        self.deadline = time.monotonic() + budget.max_seconds
         self.nodes = 0
         self.prunes = 0
 
     def tick(self) -> bool:
         """Count one node; True while within budget."""
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            return False
-        if self.nodes % 2048 == 0 and time.monotonic() - self.start > self.budget.max_seconds:
-            return False
-        return True
+        return self.nodes <= self.max_nodes and time.monotonic() <= self.deadline
 
 
-def k_colorable_via_sequences(n_points: int, k: int, X,
+def k_colorable_via_sequences(view, k: int,
                               budget: SearchBudget | None = None) -> ColorabilityResult:
-    """Decide k-colorability of the pairs X over [1, n_points] via good sequences.
+    """Decide k-colorability of a graph view via good sequences.
 
-    Searches for a length-n_points sequence over subsets of [1, k] with
-    no forward containment on X, branching left to right on the
-    positions that occur in some pair, with masks tried in descending
-    size order.  Color labels are canonicalized by first use (any
-    witness relabels to one introducing colors in order), which is sound
-    for the yes/no decision.  A "yes" re-verifies its certificate; "no"
-    is exhaustive over all good sequences.
+    Searches for a sequence of length N = view.n_points over subsets of
+    [1, k] with no forward containment on the view's vertices, branching
+    left to right on the positions that occur in some vertex, with masks
+    tried in descending size order.  Color labels are canonicalized by
+    first use (any witness relabels to one introducing colors in order),
+    which is sound for the yes/no decision.  A "yes" re-verifies its
+    certificate; "no" is exhaustive over all good sequences.
 
-    Masks are placed over min(k, ceil(log2 n_points)) colors, since the
+    Masks are placed over min(k, ceil(log2 N)) colors, since the
     descending full sequence over that many is good for every pair of
-    [1, n_points]; the certificate is still stated over [1, k].  More
-    than _MAX_SEARCH_COLORS colors are rejected: the forward-checking
-    tables hold 4^colors bits.
+    [1, N]; the certificate is still stated over [1, k].  More than
+    _MAX_SEARCH_COLORS colors are rejected: the forward-checking tables
+    hold 4^colors bits.
 
     The search state is one int with a 2^colors-bit field per branch
     position, the first position in the highest field: bit m of a field
@@ -178,11 +176,12 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     placed position is read again.  Placing m at bi drops its field and
     clears every superset of m from the field of each right partner;
     an emptied field is a wipe-out, and what is left is the state at
-    bi + 1.  The failure memo keys a branch point by its state, the
-    first-use color count and bi.  The key is sound because with
-    forward checking `entries` is read only to build the final
-    certificate.  A memo hit counts as a prune and costs no node; at
-    _MEMO_CAP entries the memo stops growing but is still consulted.
+    bi + 1.  Every field of a state is nonzero, so its bit length fixes
+    bi, and the failure memo keys a branch point by its state and the
+    first-use color count alone.  The key is sound because with forward
+    checking `entries` is read only to build the final certificate.  A
+    memo hit counts as a prune and costs no node; at _MEMO_CAP entries
+    the memo stops growing but is still consulted.
 
     Each branch index has one frame on an explicit stack, so the depth
     is not bounded by the interpreter's recursion limit: its memo key,
@@ -190,18 +189,16 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     Ints are immutable, so backtracking pops a frame and restores
     nothing.
     """
-    require_int(n_points, "n_points", 2)
+    view = as_view(view)
     require_int(k, "k", 0, _MAX_GROUND)
+    n_points = view.n_points
     colors = min(k, (n_points - 1).bit_length())
     if colors > _MAX_SEARCH_COLORS:
         raise InvalidParameterError(f"k = {k} on [1, {n_points}] needs a {colors}-color "
                                     f"search; at most {_MAX_SEARCH_COLORS} are supported")
     if budget is None:
         budget = SearchBudget()
-    try:
-        pairs = constraint_pairs(X, n_points)
-    except SequenceLengthError as e:
-        raise InvalidVertexError(str(e)) from None
+    pairs = view.vertex_list()  # ascending, inside [1, n_points]
     if not pairs:
         return ColorabilityResult("yes", k, "sequence", 0, 0,
                                   certificate_sequence=SubsetSequence((0,) * n_points, k),
@@ -230,8 +227,8 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
     full = (1 << n_branch * n_masks) - 1
     # `used` is always a prefix [1, t] by the first-use canonicalization:
     # a candidate may only bring in the next colors.  The root's key is the
-    # child key below at bi = 0 with no color in use.
-    frames = [(full * (colors + 1) * n_branch, iter(masks_desc), 0, full)]
+    # child key below with no color in use.
+    frames = [(full * (colors + 1), iter(masks_desc), 0, full)]
     while frames:
         bi = len(frames) - 1
         key, cands, used, state = frames[-1]
@@ -261,9 +258,9 @@ def k_colorable_via_sequences(n_points: int, k: int, X,
                     return ColorabilityResult(
                         "yes", k, "sequence", clock.nodes, clock.prunes,
                         certificate_sequence=seq,
-                        certificate_coloring=coloring_from_sequence(seq, pairs),
+                        certificate_coloring=coloring_from_sequence(seq, view),
                         memo_entries=len(memo))
-                child = (new * (colors + 1) + (used | m).bit_length()) * n_branch + bi + 1
+                child = new * (colors + 1) + (used | m).bit_length()
                 if child not in memo:
                     frames.append((child, iter(masks_desc), used | m, new))
                     break  # descend; `cands` resumes here once the child is popped
@@ -464,23 +461,18 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
         if _has_odd_cycle(view):
             lb = 3
     queries: list[dict] = []
-    refutations: dict[int, dict] = {}
-    yes_results: dict[int, ColorabilityResult] = {}
+    decided: dict[int, ColorabilityResult] = {}  # the conclusive answer per k asked
 
     def query(k: int) -> str:
-        r1 = k_colorable_via_sequences(view.n_points, k, view, budget)
+        r1 = k_colorable_via_sequences(view, k, budget)
         r2 = k_colorable_bb(view, k, budget)
         queries.append(r1.query_record())
         queries.append(r2.query_record())
         if r1.conclusive and r2.conclusive and r1.decision != r2.decision:
             raise ConstructionError(f"engines disagree at k={k}: {r1.decision} vs {r2.decision}")
         winner = r1 if r1.conclusive else r2
-        if not winner.conclusive:
-            return "inconclusive"
-        if winner.decision == "no":
-            refutations[k] = winner.refutation_record()
-        else:
-            yes_results[k] = r1 if r1.decision == "yes" else r2
+        if winner.conclusive:
+            decided[k] = winner
         return winner.decision
 
     while lb < ub:
@@ -493,22 +485,17 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
         else:
             lb = mid + 1
     chi = lb
+    # a coloring at chi and a refutation at chi - 1, each asked unless the search has it
+    for k, want in ((chi, "yes"), (chi - 1, "no")):
+        if k not in decided:
+            d = query(k)
+            if d == "inconclusive":
+                return ChromaticResult(None, False, None, None, queries)
+            if d != want:
+                raise ConstructionError(f"binary search settled chi={chi} but {k} colors "
+                                        f"are answered {d!r}")
 
-    if chi not in yes_results:
-        d = query(chi)
-        if d == "inconclusive":
-            return ChromaticResult(None, False, None, None, queries)
-        if d == "no":
-            raise ConstructionError(f"{chi}-coloring exists greedily but search refutes it")
-    if chi - 1 not in refutations:
-        d = query(chi - 1)
-        if d == "inconclusive":
-            return ChromaticResult(None, False, None, None, queries)
-        if d == "yes":
-            raise ConstructionError(f"binary search settled chi={chi} but {chi - 1} colors suffice")
-
-    coloring = yes_results[chi].certificate_coloring
+    coloring = decided[chi].certificate_coloring
     if proper_coloring_violation(coloring, view.vertex_list()) is not None:
         raise ConstructionError("final coloring certificate is improper")
-    refutation = refutations.get(chi - 1)
-    return ChromaticResult(chi, True, coloring, refutation, queries)
+    return ChromaticResult(chi, True, coloring, decided[chi - 1].refutation_record(), queries)

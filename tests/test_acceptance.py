@@ -146,9 +146,8 @@ def test_criterion_6_no_w_good_sequence():
         t0 = time.perf_counter()
         for n in (2, 3, 4):
             core = critical_core(n)
-            r = k_colorable_via_sequences(core.n_points, n, core,
-                                          SearchBudget(max_nodes=10_000_000,
-                                                       max_seconds=600))
+            r = k_colorable_via_sequences(core, n, SearchBudget(max_nodes=10_000_000,
+                                                                max_seconds=600))
             assert r.decision == "no", n
             assert r.refutation_record()["conclusive"] is True
         assert time.perf_counter() - t0 <= 600

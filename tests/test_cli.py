@@ -138,6 +138,28 @@ def test_member_rows_stop_at_the_time_budget(capsys, tmp_path):
     assert f"the {33_460_223 - len(rows)} core vertices" in last["claim"]
 
 
+def test_formula_upper_bounds_stop_at_the_time_budget(capsys, tmp_path):
+    # checking every N up to 4,000 takes about 30 s; one row stands for the sizes left
+    target = tmp_path / "f.json"
+    start = time.monotonic()
+    code, _, _ = run(capsys, "verify", "formula", "--n", "4000", "--max-seconds", "0.5",
+                     "--out", str(target))
+    assert code == 3 and time.monotonic() - start < 5
+    *rows, last = json.loads(target.read_text())["checks"]
+    assert rows and all(c["status"] == "pass" for c in rows)
+    assert last["status"] == "inconclusive"
+    assert last["claim"].endswith(f"for each M from {len(rows) + 1} to 4000")
+
+
+def test_memory_error_is_inconclusive(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_chi", exhausted)
+    code, _, err = run(capsys, "chi", "5")
+    assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_diagram_writes_svg(capsys, tmp_path):
     target = tmp_path / "core.svg"
     code, _, _ = run(capsys, "diagram", "3", "--out", str(target))

@@ -567,9 +567,8 @@ INT_ARGUMENTS = {
         seq_of([{1}, set(), set()], 1), 3, skip_pair=(1, bad)),
     "full_graph_min_coloring_is_proper": lambda bad: full_graph_min_coloring_is_proper(
         seq_of([{1}, set()], 1), bad),
-    "k_colorable_via_sequences.n_points": lambda bad: sc.k_colorable_via_sequences(bad, 2, []),
     "k_colorable_via_sequences.k": lambda bad: sc.k_colorable_via_sequences(
-        3, bad, build_shift_graph(3)),
+        build_shift_graph(3), bad),
     "k_colorable_bb": lambda bad: sc.k_colorable_bb(build_shift_graph(3), bad),
     "SearchBudget.max_nodes": lambda bad: sc.SearchBudget(max_nodes=bad),
     "SearchBudget.max_seconds": lambda bad: sc.SearchBudget(max_seconds=bad),

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -36,10 +37,6 @@ def capped_memo_run(cap, *args, **kwargs):
         return k_colorable_via_sequences(*args, **kwargs)
 
 
-def pairs_of(view):
-    return [(v.x, v.y) for v in view.vertex_list()]
-
-
 def test_budget_validation():
     with pytest.raises(InvalidParameterError):
         SearchBudget(max_nodes=0)
@@ -54,21 +51,21 @@ def test_budget_rejects_nan_and_accepts_inf():
     with pytest.raises(InvalidParameterError):
         SearchBudget(max_nodes=math.nan)
     unlimited = SearchBudget(max_seconds=math.inf)
-    r = k_colorable_via_sequences(5, 2, build_shift_graph(5), unlimited)
+    r = k_colorable_via_sequences(build_shift_graph(5), 2, unlimited)
     assert r.decision == "no"
 
 
 def test_sequence_engine_worked_examples():
-    r = k_colorable_via_sequences(4, 2, build_shift_graph(4), TIGHT)
+    r = k_colorable_via_sequences(build_shift_graph(4), 2, TIGHT)
     assert r.decision == "yes"
     assert r.certificate_sequence == SubsetSequence((0b11, 0b10, 0b01, 0), 2)
     assert r.certificate_coloring is not None
 
-    r = k_colorable_via_sequences(5, 2, build_shift_graph(5), TIGHT)
+    r = k_colorable_via_sequences(build_shift_graph(5), 2, TIGHT)
     assert r.decision == "no"
     assert r.refutation_record()["conclusive"] is True
 
-    r = k_colorable_via_sequences(5, 2, critical_core(2), TIGHT)
+    r = k_colorable_via_sequences(critical_core(2), 2, TIGHT)
     assert r.decision == "no"
 
 
@@ -77,7 +74,8 @@ def test_solvers_take_any_view_and_reject_what_is_not_one():
     for view in (core, core.induced(core.vertex_list()[1:])):
         assert greedy_coloring(view) is not None
     for bad in ([(1, 2), (2, 3)], None, 9):
-        for solve in (chromatic_number, greedy_coloring, lambda x: k_colorable_bb(x, 2)):
+        for solve in (chromatic_number, greedy_coloring, lambda x: k_colorable_bb(x, 2),
+                      lambda x: k_colorable_via_sequences(x, 2)):
             with pytest.raises(InvalidParameterError):
                 solve(bad)
 
@@ -94,13 +92,13 @@ def test_bb_engine_worked_examples():
 
 
 def test_engines_and_results_carry_counters():
-    r = k_colorable_via_sequences(5, 2, build_shift_graph(5), TIGHT)
+    r = k_colorable_via_sequences(build_shift_graph(5), 2, TIGHT)
     assert r.nodes > 0 and r.engine == "sequence"
     assert set(r.refutation_record()) == {"k", "nodes", "prunes", "conclusive"}
     r = k_colorable_bb(build_shift_graph(5), 2, TIGHT)
     assert r.nodes > 0 and r.engine == "bb"
     with pytest.raises(InvalidParameterError):
-        k_colorable_via_sequences(5, 3, build_shift_graph(5), TIGHT).refutation_record()
+        k_colorable_via_sequences(build_shift_graph(5), 3, TIGHT).refutation_record()
 
 
 def test_chromatic_ladder():
@@ -134,7 +132,7 @@ def test_deleting_core_vertex_drops_chi():
 
 def test_budget_exhaustion_is_inconclusive():
     starved = SearchBudget(max_nodes=3, max_seconds=600)
-    r = k_colorable_via_sequences(9, 3, build_shift_graph(9), starved)
+    r = k_colorable_via_sequences(build_shift_graph(9), 3, starved)
     assert r.decision == "inconclusive" and not r.conclusive
     r = k_colorable_bb(build_shift_graph(9), 3, starved)
     assert r.decision == "inconclusive"
@@ -142,13 +140,21 @@ def test_budget_exhaustion_is_inconclusive():
     assert not res.conclusive and res.chi is None
 
 
+def test_time_budget_holds_when_each_node_is_slow():
+    # a DSATUR node scans all 4,950 vertices of the shift graph on [1, 100], so
+    # 2,048 nodes take over a second: the clock must be read on every node
+    start = time.monotonic()
+    res = chromatic_number(build_shift_graph(100), SearchBudget(max_seconds=0.2))
+    assert not res.conclusive
+    assert time.monotonic() - start < 0.6
+
+
 def test_sequence_engine_agrees_with_bb_on_cores_and_full_graphs():
-    for X, npts, k, want in ((critical_core(2), 5, 2, "no"), (critical_core(3), 9, 3, "no"),
-                             (build_shift_graph(5), 5, 2, "no"),
-                             (build_shift_graph(5), 5, 3, "yes")):
-        seq = k_colorable_via_sequences(npts, k, X, TIGHT)
+    for X, k, want in ((critical_core(2), 2, "no"), (critical_core(3), 3, "no"),
+                       (build_shift_graph(5), 2, "no"), (build_shift_graph(5), 3, "yes")):
+        seq = k_colorable_via_sequences(X, k, TIGHT)
         bb = k_colorable_bb(X, k, TIGHT)
-        assert seq.decision == bb.decision == want, (npts, k)
+        assert seq.decision == bb.decision == want, (X, k)
 
 
 def core_minus(n, pair):
@@ -181,7 +187,7 @@ ENGINE_COUNTS = [
 def test_sequence_engine_counts_are_pinned(make, k, max_nodes, expected):
     view = make()
     budget = SearchBudget(max_nodes=max_nodes or 2_000_000, max_seconds=600)
-    r = k_colorable_via_sequences(view.n_points, k, view, budget)
+    r = k_colorable_via_sequences(view, k, budget)
     seq = r.certificate_sequence
     assert (r.decision, r.nodes, r.prunes, r.memo_entries, seq and seq.entries) == expected
     if seq is not None:
@@ -198,7 +204,7 @@ def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     path = [(i, i + 1) for i in range(1, depth)]
-    r = k_colorable_via_sequences(depth, 2, path, TIGHT)
+    r = k_colorable_via_sequences(build_shift_graph(depth).induced(path), 2, TIGHT)
     assert r.decision == "yes"
     assert is_good(r.certificate_sequence, path)
     assert sys.getrecursionlimit() == limit
@@ -209,7 +215,7 @@ def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
                          ids=("shift graph 9", "W(3)"))
 def test_k_past_log2_n_searches_fewer_colors_and_certifies_k(X, k):
     # on [1, 9] four colors decide every k >= 4; the certificate still says k
-    r = k_colorable_via_sequences(9, k, X, TIGHT)
+    r = k_colorable_via_sequences(X, k, TIGHT)
     assert r.decision == "yes"
     assert is_good(r.certificate_sequence, X)
     assert proper_coloring_violation(r.certificate_coloring, X) is None
@@ -222,7 +228,7 @@ def test_k_past_log2_n_searches_fewer_colors_and_certifies_k(X, k):
 def test_many_colors_on_a_small_view_allocate_no_mask_table():
     tracemalloc.start()
     try:
-        r = k_colorable_via_sequences(3, 18, build_shift_graph(3), TIGHT)
+        r = k_colorable_via_sequences(build_shift_graph(3), 18, TIGHT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,25 +237,27 @@ def test_many_colors_on_a_small_view_allocate_no_mask_table():
 
 
 def test_views_needing_more_than_12_colors_are_rejected():
+    one_pair = build_shift_graph(8193).induced([(1, 8193)])
     with pytest.raises(InvalidParameterError):
-        k_colorable_via_sequences(8193, 13, [(1, 8193)], TIGHT)
-    r = k_colorable_via_sequences(8193, 12, [(1, 8193)], TIGHT)
+        k_colorable_via_sequences(one_pair, 13, TIGHT)
+    r = k_colorable_via_sequences(one_pair, 12, TIGHT)
     assert r.decision == "yes"
     assert is_good(r.certificate_sequence, [(1, 8193)])
 
 
 @pytest.mark.parametrize("pairs", ([(1, 6)], [(1, 10), (2, 3)]), ids=("last pair", "earlier pair"))
 def test_pairs_past_the_ground_are_rejected(pairs):
+    # the view refuses them, so no engine sees them
     with pytest.raises(InvalidVertexError):
-        k_colorable_via_sequences(5, 3, pairs, TIGHT)
+        build_shift_graph(5).induced(pairs)
 
 
 def test_memo_keeps_yes_certificate_and_cuts_nodes():
     core4 = critical_core(4)
     g = core4.graph()
     sub = g.induced([v for v in core4.vertex_list() if v != Vertex(2, 7)])
-    with_memo = k_colorable_via_sequences(17, 4, sub, TIGHT)
-    without = capped_memo_run(0, 17, 4, sub, TIGHT)
+    with_memo = k_colorable_via_sequences(sub, 4, TIGHT)
+    without = capped_memo_run(0, sub, 4, TIGHT)
     assert with_memo.decision == without.decision == "yes"
     assert with_memo.certificate_sequence == without.certificate_sequence
     assert with_memo.certificate_coloring == without.certificate_coloring
@@ -260,8 +268,8 @@ def test_memo_at_cap_keeps_refuting():
     # W(4) needs 4,353 entries; at a 3 k cap inserts stop, lookups go on
     core4 = critical_core(4)
     budget = SearchBudget(max_nodes=2_000_000, max_seconds=60)
-    full = k_colorable_via_sequences(17, 4, core4, budget)
-    capped = capped_memo_run(3000, 17, 4, core4, budget)
+    full = k_colorable_via_sequences(core4, 4, budget)
+    capped = capped_memo_run(3000, core4, 4, budget)
     assert full.decision == capped.decision == "no"
     assert full.nodes < capped.nodes
     assert capped.memo_entries == 3000
@@ -273,7 +281,7 @@ def test_sequence_engine_colors_every_core_deletion():
         g = core.graph()
         for v in core.vertex_list():
             sub = g.induced([w for w in core.vertex_list() if w != v])
-            r = k_colorable_via_sequences(core.n_points, n, sub, TIGHT)
+            r = k_colorable_via_sequences(sub, n, TIGHT)
             assert r.decision == "yes", v
             assert is_good(r.certificate_sequence, sub)
 
@@ -333,7 +341,7 @@ def test_engines_agree_with_brute_force(case, k):
     sub = induced_subgraph(g, verts)
     edges = [(tuple(u), tuple(v)) for u, v in sub.edges()]
     want = brute_k_colorable([tuple(v) for v in verts], edges, k)
-    r_seq = k_colorable_via_sequences(g.n_points, k, sub, TIGHT)
+    r_seq = k_colorable_via_sequences(sub, k, TIGHT)
     r_bb = k_colorable_bb(sub, k, TIGHT)
     assert r_seq.decision == ("yes" if want else "no")
     assert r_bb.decision == ("yes" if want else "no")
@@ -370,8 +378,8 @@ def test_adjacency_rows_are_the_neighbor_positions(case):
 def test_memo_is_invisible_except_in_counts(case, k):
     g, verts = case
     sub = induced_subgraph(g, verts)
-    with_memo = k_colorable_via_sequences(g.n_points, k, sub, TIGHT)
-    without = capped_memo_run(0, g.n_points, k, sub, TIGHT)
+    with_memo = k_colorable_via_sequences(sub, k, TIGHT)
+    without = capped_memo_run(0, sub, k, TIGHT)
     r_bb = k_colorable_bb(sub, k, TIGHT)
     assert with_memo.decision == without.decision == r_bb.decision
     assert with_memo.certificate_sequence == without.certificate_sequence
@@ -394,8 +402,8 @@ def test_chromatic_number_matches_brute_force(case):
 def test_colorability_is_monotone_in_k(case, k):
     g, verts = case
     sub = induced_subgraph(g, verts)
-    first = k_colorable_via_sequences(g.n_points, k, sub, TIGHT).decision
-    second = k_colorable_via_sequences(g.n_points, k + 1, sub, TIGHT).decision
+    first = k_colorable_via_sequences(sub, k, TIGHT).decision
+    second = k_colorable_via_sequences(sub, k + 1, TIGHT).decision
     assert not (first == "yes" and second == "no")
 
 
