@@ -33,7 +33,7 @@ print("sequence:", show(seq), "good:", is_good(seq, g))
 col = coloring_from_sequence(seq, g)
 for v in g.vertices():
     print(f"  color{v} = {col.color_of(v)}")
-print("round trip:", show(sequence_from_coloring(col, g, 4)))
+print("round trip:", show(sequence_from_coloring(col, g)))
 
 # -- saturation in action ---------------------------------------------------
 

@@ -5,7 +5,9 @@ thing as a sequence a_1, ..., a_L of subsets of [1, n] in which a_i is
 never contained in a_j for any constrained pair (i, j) with i < j.  In
 one direction, color (i, j) with the smallest element of a_i \\ a_j; the
 chain rule for adjacency makes this proper.  In the other, let a_i be
-the set of colors used on pairs (i, j) to the right of i.
+the set of colors used on pairs (i, j) to the right of i.  The
+constrained pairs are the vertices of a graph view: a shift graph, a
+core or an induced subgraph, checked by `graphs.as_view`.
 
 The module implements that translation, a saturation procedure that
 pushes a sequence toward a canonical form where every proper subset of
@@ -36,7 +38,7 @@ from .errors import (
     require_int,
 )
 from .fullgraph import full_graph_goodness_violation
-from .graphs import GraphView, ShiftGraph, Vertex, as_vertex, critical_core
+from .graphs import ShiftGraph, Vertex, as_vertex, as_view, critical_core
 
 # the solvers' limit of 62 colors; the checks here work on Python ints
 # and need no cap of their own
@@ -150,59 +152,45 @@ class VertexColoring:
         return tuple(sorted(self.colors))
 
 
-def _vertices_of(X) -> Iterable:
-    """The vertices of a graph view, or X itself."""
-    return X.vertices() if isinstance(X, GraphView) else X
+def goodness_violation(seq: SubsetSequence, view):
+    """Lexicographically least vertex (i, j) of a graph view with a_i contained in a_j, or None.
 
-
-def constraint_pairs(X, length: int) -> tuple[tuple[int, int], ...]:
-    """Normalize a vertex collection X to sorted (i, j) index pairs.
-
-    X may be a graph view (meaning all its vertices) or any iterable of
-    pairs.  Every pair must fit inside a sequence of the given length,
-    i.e. j <= length.
+    Every vertex must fit the sequence, j <= len(seq), else SequenceLengthError.
     """
-    require_int(length, "length", 0)
-    pairs = sorted({tuple(as_vertex(v)) for v in _vertices_of(X)})
-    worst = max((j for _, j in pairs), default=0)
-    if worst > length:
+    if isinstance(view, ShiftGraph):
+        return full_graph_goodness_violation(seq, view.n_points)
+    verts = as_view(view).vertex_list()
+    worst = max((j for _, j in verts), default=0)
+    if worst > len(seq):
         raise SequenceLengthError(
-            f"constraints reach ground index {worst} but the sequence has length {length}")
-    return tuple(pairs)
-
-
-def goodness_violation(seq: SubsetSequence, X):
-    """Lexicographically least constrained (i, j) with a_i contained in a_j, or None."""
-    if isinstance(X, ShiftGraph):
-        return full_graph_goodness_violation(seq, X.n_points)
-    pairs = constraint_pairs(X, len(seq))
+            f"constraints reach ground index {worst} but the sequence has length {len(seq)}")
     entries = seq.entries
-    for i, j in pairs:
+    for i, j in verts:
         if entries[i - 1] & ~entries[j - 1] == 0:
             return (i, j)
     return None
 
 
-def is_good(seq: SubsetSequence, X) -> bool:
-    """True when no constrained pair (i, j) has a_i contained in a_j."""
-    return goodness_violation(seq, X) is None
+def is_good(seq: SubsetSequence, view) -> bool:
+    """True when no vertex (i, j) of the graph view has a_i contained in a_j."""
+    return goodness_violation(seq, view) is None
 
 
-def coloring_from_sequence(seq: SubsetSequence, X) -> VertexColoring:
-    """Proper coloring of the vertices X read off a good sequence.
+def coloring_from_sequence(seq: SubsetSequence, view) -> VertexColoring:
+    """Proper coloring of a graph view's vertices read off a good sequence.
 
     Pair (i, j) receives the least element of a_i \\ a_j.  Raises
-    GoodnessError when the sequence is not X-good.  Goodness makes the
-    coloring proper: the color of (i, m) lies outside a_m and the color
-    of (m, l) inside it.  Properness is re-checked independently by
-    `proper_coloring_violation`, as `chromatic_number` does.
+    GoodnessError when the sequence is not good on the view.  Goodness
+    makes the coloring proper: the color of (i, m) lies outside a_m and
+    the color of (m, l) inside it.  Properness is re-checked
+    independently by `proper_coloring_violation`, as `chromatic_number` does.
     """
-    viol = goodness_violation(seq, X)
+    viol = goodness_violation(seq, view)
     if viol is not None:
         raise GoodnessError(viol)
     entries = seq.entries
-    colors = {Vertex(i, j): smallest_element(entries[i - 1] & ~entries[j - 1])
-              for i, j in constraint_pairs(X, len(seq))}
+    colors = {v: smallest_element(entries[v.x - 1] & ~entries[v.y - 1])
+              for v in view.vertex_list()}
     return VertexColoring(colors, seq.n)
 
 
@@ -219,19 +207,18 @@ def full_graph_min_coloring_is_proper(seq: SubsetSequence, n_points: int,
     return full_graph_goodness_violation(seq, n_points, skip_pair) is None
 
 
-def proper_coloring_violation(coloring: VertexColoring, X):
-    """Some edge of the subgraph induced by X whose ends share a color, or None.
+def proper_coloring_violation(coloring: VertexColoring, view):
+    """Some edge of a graph view whose ends share a color, or None.
 
-    Every vertex of X must be colored.  Edges are scanned through the
-    chain rule: (x, y) meets (y, z).
+    Every vertex of the view must be colored.  Edges are scanned through
+    the chain rule: (x, y) meets (y, z).
     """
-    verts = sorted({as_vertex(v) for v in _vertices_of(X)})
+    verts = as_view(view).vertex_list()
     cmap = coloring.colors
+    by_first: dict[int, list[Vertex]] = {}
     for v in verts:
         if v not in cmap:
             raise InvalidVertexError(f"{v} has no color")
-    by_first: dict[int, list[Vertex]] = {}
-    for v in verts:
         by_first.setdefault(v.x, []).append(v)
     for v in verts:
         for w in by_first.get(v.y, ()):
@@ -240,23 +227,22 @@ def proper_coloring_violation(coloring: VertexColoring, X):
     return None
 
 
-def sequence_from_coloring(coloring: VertexColoring, X, length: int) -> SubsetSequence:
-    """Good sequence read off a proper coloring of the vertices X.
+def sequence_from_coloring(coloring: VertexColoring, view) -> SubsetSequence:
+    """Good sequence of length view.n_points read off a proper coloring of a graph view.
 
     Entry i collects the colors used on pairs (i, j) to the right of i;
     unconstrained positions become the empty set.  Rejects colorings
-    that are improper on X, naming a violating edge.
+    that are improper on the view, naming a violating edge.
     """
-    pairs = constraint_pairs(X, length)
-    edge = proper_coloring_violation(coloring, [Vertex(i, j) for i, j in pairs])
+    edge = proper_coloring_violation(coloring, view)
     if edge is not None:
         raise ImproperColoringError(edge)
-    masks = [0] * length
+    masks = [0] * view.n_points
     cmap = coloring.colors
-    for i, j in pairs:
-        masks[i - 1] |= 1 << (cmap[Vertex(i, j)] - 1)
+    for v in view.vertex_list():
+        masks[v.x - 1] |= 1 << (cmap[v] - 1)
     seq = SubsetSequence(tuple(masks), coloring.k)
-    viol = goodness_violation(seq, pairs)
+    viol = goodness_violation(seq, view)
     if viol is not None:
         raise ConstructionError(f"sequence read off a proper coloring fails goodness at {viol}")
     return seq
@@ -266,17 +252,17 @@ def sequence_from_coloring(coloring: VertexColoring, X, length: int) -> SubsetSe
 # saturation
 
 
-def saturation_trace(seq: SubsetSequence, X) -> list[SubsetSequence]:
+def saturation_trace(seq: SubsetSequence, view) -> list[SubsetSequence]:
     """All intermediate sequences of the saturation procedure, input first.
 
     One step: take the largest position s whose entry has a proper
     subset not appearing anywhere after s, and replace that entry by
     the missing proper subset of maximum cardinality, ties broken by
     largest mask value.  Stops when no position qualifies.  Each step
-    strictly shrinks one entry, preserves goodness with respect to X,
+    strictly shrinks one entry, preserves goodness on the graph view,
     and the whole run takes at most n * L steps.
     """
-    viol = goodness_violation(seq, X)
+    viol = goodness_violation(seq, view)
     if viol is not None:
         raise GoodnessError(viol)
     L = len(seq)
@@ -295,7 +281,7 @@ def saturation_trace(seq: SubsetSequence, X) -> list[SubsetSequence]:
                 continue
             entries[s - 1] = max(missing, key=lambda b: (b.bit_count(), b))
             nxt = SubsetSequence(tuple(entries), seq.n)
-            if goodness_violation(nxt, X) is not None:
+            if goodness_violation(nxt, view) is not None:
                 raise ConstructionError("saturation step broke goodness; replacement rule is unsound")
             trace.append(nxt)
             stepped = True
@@ -305,9 +291,9 @@ def saturation_trace(seq: SubsetSequence, X) -> list[SubsetSequence]:
     raise ConstructionError("saturation exceeded its n*L step bound")
 
 
-def saturate(seq: SubsetSequence, X) -> SubsetSequence:
+def saturate(seq: SubsetSequence, view) -> SubsetSequence:
     """Run saturation to its fixed point and return the final sequence."""
-    return saturation_trace(seq, X)[-1]
+    return saturation_trace(seq, view)[-1]
 
 
 def is_saturated(seq: SubsetSequence) -> bool:

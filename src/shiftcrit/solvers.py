@@ -3,7 +3,8 @@
 Both engines take one call shape, (view, k, budget=None), where the
 view is a shift graph, a core or an induced subgraph and anything else
 is refused.  Both count nodes on one clock, which reads the time on
-every node, so a search stops within one node of its time limit.
+every node, so a search stops within one node of its time limit;
+branch-and-bound's adjacency build reads it too.
 
 The first engine decides whether a good sequence exists: a proper
 k-coloring of the constrained pairs is the same thing as a length-N
@@ -15,10 +16,10 @@ stack rather than by recursion.  Its whole search state is one int: the
 feasible-mask bitsets of the remaining branch positions side by side.
 
 The first engine also keeps a failure memo (nogood recording, Dechter
-1990): the state at a branch point is the branch index,
-the number of colors introduced so far and the feasible-mask bitset of
-every remaining branch position, that is, the one int.  Everything the
-rest of the search reads is a function of that state, so a state whose
+1990): a branch point's key is state * (colors + 1) + the number of
+colors introduced so far, where the state is the one int above.  Its bit
+length fixes the branch index, which is no digit of the key.  Everything
+the rest of the search reads is a function of the key, so a key whose
 subtree was exhausted once is skipped when it recurs.  Only exhausted
 subtrees are recorded, never budget cut-offs, and the search order is
 unchanged, so certificates are identical with and without the memo.
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import ConstructionError, InvalidParameterError, require_int
-from .graphs import GraphView
+from .graphs import as_view
 from .sequences import (
     SubsetSequence,
     VertexColoring,
@@ -123,13 +124,6 @@ class ChromaticResult:
             "refutation": self.refutation,
             "queries": list(self.queries),
         }
-
-
-def as_view(x):
-    """Check that a graph argument is a graph view, and return it."""
-    if isinstance(x, GraphView):
-        return x
-    raise InvalidParameterError(f"not a graph view: {x!r}")
 
 
 class _Clock:
@@ -274,14 +268,21 @@ def k_colorable_via_sequences(view, k: int,
                               memo_entries=len(memo))
 
 
-def _adjacency(view):
-    """The view's vertex list and, per position in it, its neighbors' positions."""
-    verts = view.vertex_list()
-    adj: list[list[int]] = [[] for _ in verts]
-    for a, b in view.edge_ids():
-        adj[a].append(b)
-        adj[b].append(a)
-    return verts, adj
+def _adjacency(view, deadline: float = math.inf) -> list[list[int]] | None:
+    """Per position in the view's vertex_list(), its neighbors' positions.
+
+    None when the time.monotonic() deadline passes first; the clock is
+    read every 4,096 edges, so a query's time limit covers its build.
+    """
+    adj: list[list[int]] = [[] for _ in range(view.vertex_count())]
+    edges = view.edge_ids()
+    while chunk := list(islice(edges, 4096)):
+        if time.monotonic() > deadline:
+            return None
+        for a, b in chunk:
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj
 
 
 def _most_saturated(colors, seen, degree) -> int:
@@ -310,10 +311,11 @@ def _greedy_clique(adj) -> list[int]:
     return clique
 
 
-def _dsatur(adj, k: int, clock: _Clock) -> tuple[str, list[int] | None]:
-    """DSATUR branch and bound on adjacency rows: (decision, color of each position).
+def _dsatur(view, k: int, clock: _Clock) -> tuple[str, list[int] | None]:
+    """DSATUR branch and bound on a view: (decision, color of each position).
 
-    The greedy clique takes colors 1, 2, ... (a clique larger than k
+    The adjacency rows are built under the clock's time limit, and the
+    greedy clique takes colors 1, 2, ... (a clique larger than k
     refutes at once).  Then each frame colors the most saturated vertex
     with its least free color up to min(k, largest color in use + 1),
     and on backtracking moves it to its next free color.  seen[t] has
@@ -321,6 +323,9 @@ def _dsatur(adj, k: int, clock: _Clock) -> tuple[str, list[int] | None]:
     (u, old seen[u]) pairs its assignment changed, to undo it.  The
     colors are None unless the decision is "yes".
     """
+    adj = _adjacency(view, clock.deadline)
+    if adj is None:
+        return "inconclusive", None
     clique = _greedy_clique(adj)
     if len(clique) > k:
         return "no", None
@@ -382,15 +387,12 @@ def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> Colorabi
     """
     view = as_view(view)
     require_int(k, "k", 0)
-    if budget is None:
-        budget = SearchBudget()
-    verts, adj = _adjacency(view)
-    clock = _Clock(budget)
-    decision, colors = _dsatur(adj, k, clock)
+    clock = _Clock(budget or SearchBudget())
+    decision, colors = _dsatur(view, k, clock)
     if decision != "yes":
         return ColorabilityResult(decision, k, "bb", clock.nodes, clock.prunes)
-    coloring = VertexColoring(dict(zip(verts, colors)), k)
-    if proper_coloring_violation(coloring, verts) is not None:
+    coloring = VertexColoring(dict(zip(view.vertex_list(), colors)), k)
+    if proper_coloring_violation(coloring, view) is not None:
         raise ConstructionError("branch-and-bound returned an improper coloring")
     return ColorabilityResult("yes", k, "bb", clock.nodes, clock.prunes,
                               certificate_coloring=coloring)
@@ -401,43 +403,27 @@ def greedy_coloring(view, budget: SearchBudget | None = None) -> VertexColoring 
 
     With that many colors the first-use cap always admits a free color,
     so the descent never backtracks and gives each vertex its least free
-    color.  Only the budget's time limit applies; None if it runs out.
+    color.  Only the budget's time limit applies, to the adjacency build
+    too; None if it runs out.
     """
-    verts, adj = _adjacency(as_view(view))
-    m = len(verts)
+    view = as_view(view)
+    m = view.vertex_count()
     limit = budget.max_seconds if budget else math.inf
     # the descent takes at most m nodes, so only the time limit can trip
-    decision, colors = _dsatur(adj, m, _Clock(SearchBudget(m + 1, limit)))
+    decision, colors = _dsatur(view, m, _Clock(SearchBudget(m + 1, limit)))
     if decision != "yes":
         return None
-    return VertexColoring(dict(zip(verts, colors)), max(colors, default=0))
-
-
-def _has_odd_cycle(view) -> bool:
-    """BFS two-layering; True when some component is not bipartite."""
-    _, adj = _adjacency(view)
-    side = [-1] * len(adj)
-    for s in range(len(adj)):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if side[w] < 0:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return True
-    return False
+    return VertexColoring(dict(zip(view.vertex_list(), colors)), max(colors, default=0))
 
 
 def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResult:
     """Exact chromatic number of a view, each query decided by both engines.
 
-    Binary search between a greedy upper bound and a cheap lower bound
-    (2 with any edge, 3 with an odd cycle).  Every k queried runs both
+    Binary search between the greedy upper bound and min(greedy, 3):
+    DSATUR colors a bipartite graph with at most 2 colors (Brelaz 1979),
+    so the greedy needs 3 exactly when the view has an odd cycle, and 2
+    when it has an edge; the refutation at chi - 1 confirms the bound.
+    Every k queried runs both
     the sequence engine and branch-and-bound; disagreement between two
     conclusive answers raises, mixed conclusiveness uses the conclusive
     one.  The result carries a coloring at chi, the refutation record
@@ -455,11 +441,7 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
         return ChromaticResult(None, False, None, None,
                                [{"stage": "greedy", "decision": "inconclusive"}])
     ub = greedy.k
-    lb = 1
-    if view.edge_count() > 0:
-        lb = 2
-        if _has_odd_cycle(view):
-            lb = 3
+    lb = min(ub, 3)
     queries: list[dict] = []
     decided: dict[int, ColorabilityResult] = {}  # the conclusive answer per k asked
 
@@ -496,6 +478,6 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
                                         f"are answered {d!r}")
 
     coloring = decided[chi].certificate_coloring
-    if proper_coloring_violation(coloring, view.vertex_list()) is not None:
+    if proper_coloring_violation(coloring, view) is not None:
         raise ConstructionError("final coloring certificate is improper")
     return ChromaticResult(chi, True, coloring, decided[chi - 1].refutation_record(), queries)

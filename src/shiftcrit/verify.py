@@ -243,9 +243,8 @@ def _subset_chromatic_table(g: ShiftGraph) -> list[int]:
     Plain backtracking per subset with first-use color symmetry; meant
     for the 2^10 subsets of the smallest interesting graph only.
     """
-    verts, nbrs = _adjacency(g)
-    adj = [sum(1 << u for u in a) for a in nbrs]
-    m = len(verts)
+    adj = [sum(1 << u for u in a) for a in _adjacency(g)]
+    m = len(adj)
 
     def colorable(members: list[int], k: int) -> bool:
         colors = {}

@@ -92,6 +92,29 @@ def brute_chromatic(vertices, edges):
     return k
 
 
+def brute_is_bipartite(vertices, edges):
+    # two-layer each component by a depth-first walk; a clash is an odd cycle
+    nbrs = {v: [] for v in vertices}
+    for u, w in edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    side = {}
+    for s in vertices:
+        if s in side:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w not in side:
+                    side[w] = side[u] ^ 1
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
 def greedy_dsatur(vertices, edges):
     # DSATUR greedy coloring, the one-loop form the library once had: the
     # uncolored vertex with the most distinct neighbor colors, then the larger

@@ -56,8 +56,8 @@ def random_x_good_instance(rng):
     seq = SubsetSequence(entries, n)
     legal = [(i, j) for i in range(1, length + 1) for j in range(i + 1, length + 1)
              if entries[i - 1] & ~entries[j - 1]]
-    pairs = sorted(rng.sample(legal, rng.randint(0, len(legal))))
-    return seq, pairs
+    pairs = rng.sample(legal, rng.randint(0, len(legal)))
+    return seq, build_shift_graph(max(length, 2)).induced(pairs)
 
 
 def test_criterion_1_chromatic_formula_exact():
@@ -158,12 +158,12 @@ def test_criterion_7_saturation_properties():
     with criterion(7, "saturation invariants on 1000 random X-good instances"):
         rng = random.Random(20260822)
         for _ in range(1000):
-            seq, pairs = random_x_good_instance(rng)
+            seq, X = random_x_good_instance(rng)
             length = len(seq.entries)
-            trace = saturation_trace(seq, pairs)
+            trace = saturation_trace(seq, X)
             assert len(trace) - 1 <= seq.n * length
             final = trace[-1]
-            assert is_good(final, pairs)
+            assert is_good(final, X)
             assert is_saturated(final)
             suffix_sets = [set(final.entries[i:]) for i in range(length + 1)]
             for i, m in enumerate(final.entries, start=1):
@@ -180,10 +180,10 @@ def test_criterion_8_round_trip():
         rng = random.Random(8222026)
         checked = 0
         while checked < 1000:
-            seq, pairs = random_x_good_instance(rng)
-            col = coloring_from_sequence(seq, pairs)
-            back = sequence_from_coloring(col, pairs, len(seq.entries))
-            assert is_good(back, pairs)
+            seq, X = random_x_good_instance(rng)
+            col = coloring_from_sequence(seq, X)
+            back = sequence_from_coloring(col, X)
+            assert is_good(back, X)
             checked += 1
 
 

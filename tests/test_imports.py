@@ -249,3 +249,35 @@ def test_the_two_engines_share_no_search_code():
     assert not sequence & BB_HELPERS
     for bb in ("_dsatur", "k_colorable_bb"):
         assert not names[bb] & SEQUENCE_TABLES, bb
+
+
+# a graph argument is checked once, by graphs.as_view; the goodness check's
+# full-graph fast path is the one other isinstance test on a view class
+VIEW_CLASSES = {"GraphView", "ReachView", "ShiftGraph", "CriticalCore", "InducedSubgraph"}
+
+
+def view_checks(source: str) -> list[tuple[str, int]]:
+    """(module-level function or class, line) of each isinstance(_, <view class>)."""
+    hits = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any((getattr(c, "id", None) or getattr(c, "attr", None)) in VIEW_CLASSES
+                       for c in classes):
+                    hits.append((getattr(top, "name", ""), node.lineno))
+    return hits
+
+
+def test_view_check_finder_flags_each_form():
+    source = ("def as_view(x):\n    return isinstance(x, GraphView)\n"
+              "def f(x):\n    return isinstance(x, (list, graphs.ShiftGraph))\n"
+              "class C:\n    def m(self, x):\n        return isinstance(x, InducedSubgraph)\n"
+              "isinstance(y, ReachView)\nisinstance(y, list)\n")
+    assert view_checks(source) == [("as_view", 2), ("f", 4), ("C", 7), ("", 8)]
+
+
+def test_views_are_checked_only_by_as_view():
+    found = {(path.stem, where) for path in (ROOT / "src" / "shiftcrit").glob("*.py")
+             for where, _ in view_checks(path.read_text("utf-8"))}
+    assert found == {("graphs", "as_view"), ("sequences", "goodness_violation")}

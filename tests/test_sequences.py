@@ -38,7 +38,6 @@ import shiftcrit as sc
 from shiftcrit import diagram, fullgraph
 from shiftcrit.sequences import (
     _masks_descending,
-    constraint_pairs,
     format_mask,
     full_graph_goodness_violation,
     full_graph_min_coloring_is_proper,
@@ -61,6 +60,11 @@ def seq_of(sets, n):
 
 def all_pairs(length):
     return list(combinations(range(1, length + 1), 2))
+
+
+def pair_view(pairs, n_points):
+    """The pairs as a graph view: the subgraph they induce in the shift graph on [1, n_points]."""
+    return build_shift_graph(max(n_points, 2)).induced(pairs)
 
 
 # --- masks ---------------------------------------------------------------
@@ -96,13 +100,13 @@ def random_sequences(draw, max_n=4, max_len=10):
 def test_goodness_matches_oracle_on_all_pairs(seq):
     sets = [set(seq.elements_at(i)) for i in range(1, len(seq.entries) + 1)]
     pairs = all_pairs(len(seq.entries))
-    g = build_shift_graph(len(seq.entries)) if len(seq.entries) >= 2 else pairs
+    X = pair_view(pairs, len(seq.entries))
     want = brute_is_good(sets, pairs)
-    assert is_good(seq, pairs) == want
-    assert (goodness_violation(seq, pairs) is None) == want
+    assert is_good(seq, X) == want
+    assert (goodness_violation(seq, X) is None) == want
     assert (full_graph_goodness_violation(seq, len(seq.entries)) is None) == want
     if len(seq.entries) >= 2:
-        assert is_good(seq, g) == want
+        assert is_good(seq, build_shift_graph(len(seq.entries))) == want
 
 
 @given(random_sequences(), st.data())
@@ -112,13 +116,13 @@ def test_goodness_matches_oracle_on_sparse_pairs(seq, data):
                                unique=True, max_size=12))
     pairs = [p for p in pairs if p[1] <= length]
     sets = [set(seq.elements_at(i)) for i in range(1, length + 1)]
-    assert is_good(seq, pairs) == brute_is_good(sets, pairs)
+    assert is_good(seq, pair_view(pairs, length)) == brute_is_good(sets, pairs)
 
 
 def test_goodness_violation_is_least_pair():
     seq = seq_of([{1}, {1, 2}, {1}, {1}], 2)
     # (1,2), (1,3), (1,4), (3,4) all violate; (1,2) is lexicographically first
-    assert goodness_violation(seq, all_pairs(4)) == (1, 2)
+    assert goodness_violation(seq, pair_view(all_pairs(4), 4)) == (1, 2)
     assert full_graph_goodness_violation(seq, 4) == (1, 2)
 
 
@@ -133,12 +137,12 @@ def test_skip_pair_is_exempt():
 def test_constraint_length_guard():
     seq = seq_of([{1}, {2}], 2)
     with pytest.raises(SequenceLengthError):
-        is_good(seq, [(1, 3)])
-    # pairs sort by (i, j), so the largest j need not sit in the last pair
+        is_good(seq, pair_view([(1, 3)], 3))
+    # vertices sort by (i, j), so the largest j need not sit in the last one
     seq = seq_of([{1}, {2}, {1, 2}, set(), {2}], 2)
-    for check in (is_good, goodness_violation, coloring_from_sequence):
+    for check in (is_good, goodness_violation, coloring_from_sequence, saturation_trace):
         with pytest.raises(SequenceLengthError):
-            check(seq, [(1, 10), (2, 3)])
+            check(seq, pair_view([(1, 10), (2, 3)], 10))
 
 
 # --- bulk kernels over the whole shift graph ------------------------------
@@ -215,7 +219,7 @@ def test_min_coloring_is_proper_and_colors_every_pair_iff_good(inp):
     # the lemma: the min-element coloring is always proper ...
     assert brute_min_coloring_is_proper(sets, n_points, skip)
     colors = {Vertex(i, j): c for (i, j), c in brute_min_coloring(sets, n_points, skip).items()}
-    assert proper_coloring_violation(VertexColoring(colors, seq.n), colors) is None
+    assert proper_coloring_violation(VertexColoring(colors, seq.n), pair_view(colors, n_points)) is None
     # ... and colors every pair but the skipped one exactly when the sequence is good
     want = brute_least_violation(sets, all_pairs(n_points), skip) is None
     # grounds up to _TABLE_MAX_GROUND use the mask tables; check the other path on them too
@@ -234,7 +238,7 @@ def test_goodness_violation_on_a_long_pair_list(n, length, descending, seed):
     every = all_pairs(length)
     for pairs in (every, rnd.sample(every, 4096)):
         assert len(pairs) >= 4096
-        assert goodness_violation(seq, pairs) == brute_least_violation(sets, pairs)
+        assert goodness_violation(seq, pair_view(pairs, length)) == brute_least_violation(sets, pairs)
 
 
 @pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper))
@@ -293,7 +297,7 @@ def test_sequence_from_improper_coloring_names_the_edge():
     g = build_shift_graph(3)
     col = VertexColoring({Vertex(1, 2): 1, Vertex(2, 3): 1, Vertex(1, 3): 2}, 2)
     with pytest.raises(ImproperColoringError):
-        sequence_from_coloring(col, g, 3)
+        sequence_from_coloring(col, g)
 
 
 def test_uncolored_vertex_is_an_error():
@@ -323,12 +327,12 @@ def good_full_sequences(draw, max_points=9):
 @given(good_full_sequences())
 def test_round_trip_coloring_to_sequence_and_back(case):
     col, g, n_points = case
-    seq = sequence_from_coloring(col, g, n_points)
-    assert is_good(seq, g)
+    seq = sequence_from_coloring(col, g)
+    assert len(seq) == n_points and is_good(seq, g)
     back = coloring_from_sequence(seq, g)
     assert proper_coloring_violation(back, g) is None
     # the round trip need not reproduce seq, but it must stay good
-    again = sequence_from_coloring(back, g, n_points)
+    again = sequence_from_coloring(back, g)
     assert is_good(again, g)
     assert proper_coloring_violation(coloring_from_sequence(again, g), g) is None
 
@@ -342,7 +346,7 @@ def test_round_trip_sequence_to_coloring_and_back(seq):
     if not is_good(seq, g):
         return
     col = coloring_from_sequence(seq, g)
-    again = sequence_from_coloring(col, g, length)
+    again = sequence_from_coloring(col, g)
     assert is_good(again, g)
 
 
@@ -351,24 +355,26 @@ def test_worked_round_trip_is_exact():
     g = build_shift_graph(4)
     seq = seq_of([{1, 2}, {1}, {2}, set()], 2)
     col = coloring_from_sequence(seq, g)
-    assert sequence_from_coloring(col, g, 4) == seq
+    assert sequence_from_coloring(col, g) == seq
 
 
 # --- saturation ----------------------------------------------------------
 
 def test_saturation_worked_example():
     seq = seq_of([{1, 2}, {2}, {1}], 2)
-    trace = saturation_trace(seq, all_pairs(3))
+    g = build_shift_graph(3)
+    trace = saturation_trace(seq, g)
     assert len(trace) == 3  # two rewrite steps
     assert trace[-1] == seq_of([{1}, {2}, set()], 2)
-    assert all(is_good(s, all_pairs(3)) for s in trace)
+    assert all(is_good(s, g) for s in trace)
+    assert saturation_trace(seq, pair_view(all_pairs(3), 3)) == trace
     assert is_saturated(trace[-1])
     assert not is_saturated(seq)
 
 
 def test_saturation_fixed_point():
     seq = seq_of([{1}, {2}, set()], 2)
-    assert saturate(seq, all_pairs(3)) == seq
+    assert saturate(seq, build_shift_graph(3)) == seq
 
 
 @st.composite
@@ -378,28 +384,28 @@ def x_good_instances(draw, max_n=4, max_len=10):
     legal = [(i, j) for i, j in all_pairs(length)
              if not (seq.at(i) & ~seq.at(j)) == 0]
     pairs = draw(st.lists(st.sampled_from(legal), unique=True)) if legal else []
-    return seq, sorted(pairs)
+    return seq, pair_view(pairs, length)
 
 
 @given(x_good_instances())
 def test_saturation_preserves_goodness_and_terminates(case):
-    seq, pairs = case
-    assert is_good(seq, pairs)
-    trace = saturation_trace(seq, pairs)
+    seq, X = case
+    assert is_good(seq, X)
+    trace = saturation_trace(seq, X)
     n, length = seq.n, len(seq.entries)
     assert len(trace) - 1 <= n * length
     assert trace[0] == seq
     for s in trace:
-        assert is_good(s, pairs)
+        assert is_good(s, X)
     final = trace[-1]
     assert is_saturated(final)
-    assert saturate(final, pairs) == final
+    assert saturate(final, X) == final
 
 
 @given(x_good_instances(max_n=3, max_len=8))
 def test_saturated_means_no_missing_submask(case):
-    seq, pairs = case
-    final = saturate(seq, pairs)
+    seq, X = case
+    final = saturate(seq, X)
     # every proper subset of every entry recurs later in the sequence
     for i, m in enumerate(final.entries, start=1):
         suffix = set(final.entries[i:])
@@ -546,7 +552,6 @@ INT_ARGUMENTS = {
     "VertexColoring.color": lambda bad: VertexColoring({(1, 2): bad}, 2),
     "mask_of.n": lambda bad: mask_of([1], bad),
     "mask_of.element": lambda bad: mask_of([bad], 3),
-    "constraint_pairs.length": lambda bad: constraint_pairs([], bad),
     "descending_full_sequence.n": lambda bad: descending_full_sequence(bad, 1),
     "descending_full_sequence.length": lambda bad: descending_full_sequence(2, bad),
     "construct_deleted_vertex_sequence": lambda bad: construct_deleted_vertex_sequence(bad, (1, 2)),
@@ -592,6 +597,29 @@ def test_integer_arguments_are_plain_ints(target, bad):
     error = InvalidVertexError if target.startswith("as_vertex") else InvalidParameterError
     with pytest.raises(error):
         INT_ARGUMENTS[target](bad)
+
+
+# each function of the sequence calculus, given `bad` where its graph view goes
+VIEW_ARGUMENTS = {
+    "goodness_violation": lambda bad: goodness_violation(seq_of([{1}, set()], 1), bad),
+    "is_good": lambda bad: is_good(seq_of([{1}, set()], 1), bad),
+    "coloring_from_sequence": lambda bad: coloring_from_sequence(seq_of([{1}, set()], 1), bad),
+    "proper_coloring_violation": lambda bad: proper_coloring_violation(
+        VertexColoring({(1, 2): 1}, 1), bad),
+    "sequence_from_coloring": lambda bad: sequence_from_coloring(VertexColoring({(1, 2): 1}, 1), bad),
+    "saturation_trace": lambda bad: saturation_trace(seq_of([{1}, set()], 1), bad),
+    "saturate": lambda bad: saturate(seq_of([{1}, set()], 1), bad),
+}
+
+
+@pytest.mark.parametrize("target, bad", [
+    pytest.param(t, bad, id=f"{t}-{kind}") for t in sorted(VIEW_ARGUMENTS)
+    for kind, bad in (("pair-list", [(1, 2)]), ("none", None), ("int", 2))])
+def test_calculus_functions_take_only_a_view(target, bad):
+    with pytest.raises(InvalidParameterError, match="not a graph view"):
+        VIEW_ARGUMENTS[target](bad)
+    # the same call on the view of those pairs is answered
+    VIEW_ARGUMENTS[target](pair_view([(1, 2)], 2))
 
 
 def test_coloring_json_round_trip():

@@ -26,7 +26,7 @@ from shiftcrit import (
     proper_coloring_violation,
 )
 
-from oracles import brute_chromatic, brute_k_colorable, greedy_dsatur
+from oracles import brute_chromatic, brute_is_bipartite, brute_k_colorable, greedy_dsatur
 
 TIGHT = SearchBudget(max_nodes=2_000_000, max_seconds=60.0)
 
@@ -149,6 +149,22 @@ def test_time_budget_holds_when_each_node_is_slow():
     assert time.monotonic() - start < 0.6
 
 
+G250 = build_shift_graph(250)
+
+
+@pytest.mark.parametrize("run", (
+    lambda budget: chromatic_number(G250, budget).conclusive,
+    lambda budget: k_colorable_bb(G250, 3, budget).conclusive,
+    lambda budget: greedy_coloring(G250, budget) is not None,
+), ids=("chromatic_number", "k_colorable_bb", "greedy_coloring"))
+def test_time_budget_covers_the_adjacency_build(run):
+    # the shift graph on [1, 250] has 2,573,000 edges, and building all their
+    # adjacency rows takes over a second: the build must read the clock too
+    start = time.monotonic()
+    assert not run(SearchBudget(max_seconds=0.1))
+    assert time.monotonic() - start < 0.5
+
+
 def test_sequence_engine_agrees_with_bb_on_cores_and_full_graphs():
     for X, k, want in ((critical_core(2), 2, "no"), (critical_core(3), 3, "no"),
                        (build_shift_graph(5), 2, "no"), (build_shift_graph(5), 3, "yes")):
@@ -203,8 +219,8 @@ def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
         raise AssertionError("the engine must not change the recursion limit")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    path = [(i, i + 1) for i in range(1, depth)]
-    r = k_colorable_via_sequences(build_shift_graph(depth).induced(path), 2, TIGHT)
+    path = build_shift_graph(depth).induced((i, i + 1) for i in range(1, depth))
+    r = k_colorable_via_sequences(path, 2, TIGHT)
     assert r.decision == "yes"
     assert is_good(r.certificate_sequence, path)
     assert sys.getrecursionlimit() == limit
@@ -242,7 +258,7 @@ def test_views_needing_more_than_12_colors_are_rejected():
         k_colorable_via_sequences(one_pair, 13, TIGHT)
     r = k_colorable_via_sequences(one_pair, 12, TIGHT)
     assert r.decision == "yes"
-    assert is_good(r.certificate_sequence, [(1, 8193)])
+    assert is_good(r.certificate_sequence, one_pair)
 
 
 @pytest.mark.parametrize("pairs", ([(1, 6)], [(1, 10), (2, 3)]), ids=("last pair", "earlier pair"))
@@ -319,6 +335,17 @@ def test_greedy_matches_the_reference_on_induced_subgraphs(verts):
     assert_greedy_is_the_reference(G12.induced(verts))
 
 
+@given(st.lists(st.sampled_from(G12.vertex_list()), unique=True, min_size=1,
+                max_size=G12.vertex_count()))
+@settings(max_examples=100)
+def test_greedy_needs_three_colors_exactly_on_an_odd_cycle(verts):
+    # chromatic_number's lower bound min(greedy, 3): DSATUR 2-colors a bipartite graph
+    view = G12.induced(verts)
+    edges = list(view.edges())
+    want = 1 if not edges else 2 if brute_is_bipartite(view.vertex_list(), edges) else 3
+    assert min(greedy_coloring(view).k, 3) == want
+
+
 def test_greedy_ignores_the_node_budget():
     g = build_shift_graph(9)
     col = greedy_coloring(g, SearchBudget(max_nodes=1))
@@ -366,10 +393,11 @@ def dense_instances(draw):
 def test_adjacency_rows_are_the_neighbor_positions(case):
     g, verts = case
     for view in (g, induced_subgraph(g, verts)):
-        got_verts, adj = solvers._adjacency(view)
-        assert got_verts == view.vertex_list()
-        pos = {v: t for t, v in enumerate(got_verts)}
-        for t, v in enumerate(got_verts):
+        adj = solvers._adjacency(view)
+        verts = view.vertex_list()
+        assert len(adj) == len(verts)
+        pos = {v: t for t, v in enumerate(verts)}
+        for t, v in enumerate(verts):
             assert sorted(adj[t]) == sorted(pos[w] for w in view.neighbors(v))
 
 
