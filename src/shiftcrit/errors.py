@@ -1,13 +1,15 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+import reprlib
+
 
 class ShiftCritError(Exception):
     """Base class for package-specific errors."""
 
 
 class InvalidParameterError(ShiftCritError, ValueError):
-    """A numeric argument is outside its documented range."""
+    """An argument is refused: of the wrong kind, or outside its documented range."""
 
 
 def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -19,7 +21,7 @@ def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
     """
     if type(value) is not int or value < lo or (hi is not None and value > hi):
         bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
-        raise InvalidParameterError(f"need an integer {bounds}, got {value!r}")
+        raise InvalidParameterError(f"need an integer {bounds}, got {reprlib.repr(value)}")
     return value
 
 

@@ -16,6 +16,7 @@ sequence, through `sequences.full_graph_min_coloring_is_proper`.
 """
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_
@@ -34,7 +35,8 @@ def _full_graph_args(seq: SubsetSequence, n_points: int, skip_pair):
         raise SequenceLengthError(f"need at least {n_points} entries, got {len(seq)}")
     if skip_pair is not None:
         if not isinstance(skip_pair, (tuple, list)) or len(skip_pair) != 2:
-            raise InvalidParameterError(f"skip_pair must be a pair (i, j), got {skip_pair!r}")
+            raise InvalidParameterError(
+                f"skip_pair must be a pair (i, j), got {reprlib.repr(skip_pair)}")
         i = require_int(skip_pair[0], "skip_pair[0]", 1, n_points)
         skip_pair = (i, require_int(skip_pair[1], "skip_pair[1]", i + 1, n_points))
     return seq.entries[:n_points], skip_pair

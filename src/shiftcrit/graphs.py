@@ -23,6 +23,7 @@ answers the same methods.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -54,7 +55,7 @@ def as_vertex(v) -> Vertex:
     except (TypeError, ValueError):
         x = y = None
     if type(x) is not int or type(y) is not int:
-        raise InvalidVertexError(f"not an ordered integer pair: {v!r}")
+        raise InvalidVertexError(f"not an ordered integer pair: {reprlib.repr(v)}")
     if not 1 <= x < y:
         raise InvalidVertexError(f"need 1 <= x < y, got ({x},{y})")
     return Vertex(x, y)
@@ -94,7 +95,7 @@ def as_view(x) -> GraphView:
     """
     if isinstance(x, GraphView):
         return x
-    raise InvalidParameterError(f"not a graph view: {x!r}")
+    raise InvalidParameterError(f"not a graph view: {reprlib.repr(x)}")
 
 
 class ReachView(GraphView):

@@ -23,6 +23,7 @@ only build; the verify rows check each deleted-vertex sequence once.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -51,7 +52,7 @@ def mask_of(elements: Iterable[int], n: int) -> int:
     m = 0
     for e in elements:
         if type(e) is not int or not 1 <= e <= n:
-            raise InvalidParameterError(f"element {e!r} is outside [1, {n}]")
+            raise InvalidParameterError(f"element {reprlib.repr(e)} is outside [1, {n}]")
         m |= 1 << (e - 1)
     return m
 
@@ -99,7 +100,8 @@ class SubsetSequence:
         ents = tuple(self.entries)
         for e in ents:
             if type(e) is not int or not 0 <= e < limit:
-                raise InvalidParameterError(f"entry {e!r} is not a subset mask over [1, {self.n}]")
+                raise InvalidParameterError(
+                    f"entry {reprlib.repr(e)} is not a subset mask over [1, {self.n}]")
         object.__setattr__(self, "entries", ents)
 
     @classmethod
@@ -134,7 +136,8 @@ class VertexColoring:
         for v, c in dict(self.colors).items():
             v = as_vertex(v)
             if type(c) is not int or not 1 <= c <= self.k:
-                raise InvalidParameterError(f"color {c!r} for {v} is outside [1, {self.k}]")
+                raise InvalidParameterError(
+                    f"color {reprlib.repr(c)} for {v} is outside [1, {self.k}]")
             norm[v] = c
         object.__setattr__(self, "colors", norm)
 
@@ -414,7 +417,7 @@ def sequence_from_dict(d: dict) -> SubsetSequence:
         sets = [[require_int(e, "an element of 'entries'", 1, n) for e in s] for s in entries]
     except TypeError:
         raise InvalidParameterError("'entries' must be a list of element lists, "
-                                    f"got {entries!r}") from None
+                                    f"got {reprlib.repr(entries)}") from None
     return SubsetSequence.from_sets(sets, n)
 
 
@@ -432,13 +435,13 @@ def coloring_from_dict(d: dict) -> VertexColoring:
         raise InvalidParameterError("coloring document needs keys 'k' and 'colors'") from None
     require_int(k, "'k'", 0)
     if not isinstance(rows, list):
-        raise InvalidParameterError(f"'colors' must be a list of rows, got {rows!r}")
+        raise InvalidParameterError(f"'colors' must be a list of rows, got {reprlib.repr(rows)}")
     colors = {}
     for row in rows:
         try:
             x, y, c = row["x"], row["y"], row["c"]
         except (TypeError, KeyError):
-            raise InvalidParameterError(f"bad coloring row: {row!r}") from None
+            raise InvalidParameterError(f"bad coloring row: {reprlib.repr(row)}") from None
         v = Vertex(require_int(x, "'x'", 1), require_int(y, "'y'", x + 1))
         require_int(c, "'c'", 1, k)
         if v in colors:

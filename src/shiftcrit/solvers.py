@@ -37,6 +37,8 @@ query through both and insists they agree.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -65,7 +67,7 @@ class SearchBudget:
     """Node and wall-clock limits for a single solver query.
 
     max_nodes is an int >= 1 and max_seconds a positive int or float;
-    max_seconds = inf means no time limit; NaN is rejected.
+    max_seconds = inf means no time limit; NaN and ints past any float are rejected.
     """
 
     max_nodes: int = 100_000_000
@@ -73,10 +75,12 @@ class SearchBudget:
 
     def __post_init__(self):
         require_int(self.max_nodes, "max_nodes", 1)
+        seconds = self.max_seconds
         # written as `not ... >` so that NaN, which fails every comparison, is rejected
-        if type(self.max_seconds) not in (int, float) or not self.max_seconds > 0:
-            raise InvalidParameterError(
-                f"need a positive number of seconds, got max_seconds={self.max_seconds!r}")
+        if (type(seconds) not in (int, float) or not seconds > 0
+                or seconds != math.inf and seconds > sys.float_info.max):
+            raise InvalidParameterError("need a positive number of seconds that a float "
+                                        f"holds, got max_seconds={reprlib.repr(seconds)}")
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,24 @@ def test_every_module_import_is_used(path):
     assert unused == REEXPORTS.get(path.stem, set())
 
 
+def private_imports(source: str) -> set[str]:
+    """Underscore-prefixed names the source imports from within the package."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names if a.name.startswith("_")}
+
+
+def test_private_import_finder_flags_only_package_private_names():
+    source = ("from __future__ import annotations\nfrom .solvers import _a, b\n"
+              "from os import _exit\ndef f():\n    from . import _c\n")
+    assert private_imports(source) == {"_a", "_c"}
+
+
+def test_verify_imports_only_public_names():
+    # the checkers share no private helper with the code they check
+    assert private_imports((ROOT / "src" / "shiftcrit" / "verify.py").read_text("utf-8")) == set()
+
+
 def integer_checks(source: str) -> list[int]:
     """Lines that test for an int or a bool on their own.
 

@@ -592,7 +592,9 @@ INT_ARGUMENTS = {
 
 @pytest.mark.parametrize("target, bad", [
     (t, bad) for t in sorted(INT_ARGUMENTS) for bad in (True, False, 2.0, "3", None)
-    if (t, bad) != ("SearchBudget.max_seconds", 2.0)])  # seconds may be a float
+    if (t, bad) != ("SearchBudget.max_seconds", 2.0)]  # seconds may be a float
+    # but not an int past the largest float, which the clock cannot add to the time
+    + [pytest.param("SearchBudget.max_seconds", 10 ** 400, id="SearchBudget.max_seconds-10**400")])
 def test_integer_arguments_are_plain_ints(target, bad):
     error = InvalidVertexError if target.startswith("as_vertex") else InvalidParameterError
     with pytest.raises(error):
@@ -620,6 +622,18 @@ def test_calculus_functions_take_only_a_view(target, bad):
         VIEW_ARGUMENTS[target](bad)
     # the same call on the view of those pairs is answered
     VIEW_ARGUMENTS[target](pair_view([(1, 2)], 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_good(seq_of([{1}, set()], 1), [(1, 2)] * 1199),
+    lambda: sequence_from_dict({"n": 2, "entries": list(range(10 ** 5))}),
+    lambda: critical_core(list(range(10 ** 5))),
+], ids=["is_good-pair-list", "sequence_from_dict-entries", "critical_core-list"])
+def test_refused_arguments_are_quoted_in_short_messages(call):
+    # the message names the argument through reprlib, however long it is
+    with pytest.raises(InvalidParameterError) as refused:
+        call()
+    assert len(str(refused.value)) < 200
 
 
 def test_coloring_json_round_trip():

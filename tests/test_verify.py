@@ -11,6 +11,8 @@ from shiftcrit import (
     verify_uniqueness,
 )
 
+from oracles import brute_chromatic, brute_edges, brute_vertices
+
 STARVED = SearchBudget(max_nodes=5, max_seconds=600)
 
 
@@ -226,3 +228,17 @@ def test_empty_report_is_inconclusive():
     from shiftcrit.verify import TheoremReport
 
     assert TheoremReport("1", 2).status == "inconclusive"
+
+
+@pytest.mark.parametrize("N", (4, 5))
+def test_subset_chromatic_table_matches_the_brute_oracle(N):
+    from shiftcrit import build_shift_graph, verify
+    g = build_shift_graph(N)
+    verts = list(g.vertex_list())
+    assert verts == brute_vertices(N)
+    edges = brute_edges(N)
+    table = verify._subset_chromatic_table(g)
+    assert len(table) == 1 << len(verts)
+    for S, chi in enumerate(table):
+        X = [v for t, v in enumerate(verts) if S >> t & 1]
+        assert chi == brute_chromatic(X, [(u, w) for u, w in edges if u in X and w in X]), X
