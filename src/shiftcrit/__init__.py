@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # the submodule that defines each public name
 _EXPORTS = {
-    "diagram": ("DiagramSpec", "default_palette", "render_svg", "write_svg"),
+    "diagram": ("DiagramSpec", "default_palette", "render_svg"),
     "errors": (
         "ConstructionError",
         "GoodnessError",

@@ -17,17 +17,16 @@ from __future__ import annotations
 import colorsys
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, require_int
+from .errors import require_int
 from .graphs import critical_core
 
 
 @dataclass(frozen=True)
 class DiagramSpec:
-    """Rendering parameters; zero/empty fields fall back to defaults."""
+    """Rendering parameters; a zero cell_size falls back to default_cell_size(n)."""
 
     n: int
     cell_size: int = 0
-    palette: tuple[str, ...] = ()
     hyperbola: bool = True
 
 
@@ -68,10 +67,7 @@ def render_svg(spec: DiagramSpec) -> str:
     core = critical_core(n)
     k = core.n_points
     cs = require_int(spec.cell_size, "cell_size", 0) or default_cell_size(n)
-    palette = spec.palette or default_palette(n + 1)
-    if len(palette) != n + 1:
-        raise InvalidParameterError(
-            f"palette needs {n + 1} colors for n={n}, got {len(palette)}")
+    palette = default_palette(n + 1)
 
     pad_left = 2 * cs
     pad_top = cs // 2 + 1
@@ -147,8 +143,3 @@ def render_svg(spec: DiagramSpec) -> str:
 
     out.append('</svg>')
     return "\n".join(out) + "\n"
-
-
-def write_svg(spec: DiagramSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(spec))

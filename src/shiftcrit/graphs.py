@@ -17,15 +17,16 @@ strictly right of it.  The subgraph induced by W is the unique minimal
 induced subgraph whose chromatic number still exceeds n.
 
 Both are one kind of view: the pairs (x, y) with x < y <= reach(x), where
-reach(x) = N for the full graph.  ReachView does the vertex, edge and
-neighbor arithmetic for both, and every view, an induced subgraph too,
-answers the same methods.
+reach(x) = N for the full graph.  ReachView does the vertex and edge
+arithmetic for both.  Every view, an induced subgraph too, states its
+vertex set once as _has(v), and GraphView answers membership, the refusal
+of a non-vertex and the neighbors over it.
 """
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, InvalidVertexError, require_int
@@ -69,7 +70,32 @@ def adjacent(u, w) -> bool:
 
 
 class GraphView:
-    """What every view derives from its vertices(), edge_ids() and neighbors()."""
+    """What every view derives from its _has(v), vertices() and edge_ids().
+
+    A view kind states its vertex set once, as _has(v) on a checked
+    Vertex.  Membership, the refusal of a non-vertex and the chain-rule
+    neighbors are written here, once, over it.
+    """
+
+    def __contains__(self, v) -> bool:
+        try:
+            v = as_vertex(v)
+        except InvalidVertexError:
+            return False
+        return self._has(v)
+
+    def require_vertex(self, v) -> Vertex:
+        v = as_vertex(v)
+        if not self._has(v):
+            raise InvalidVertexError(f"{v} is not a vertex of {reprlib.repr(self)}")
+        return v
+
+    def neighbors(self, v) -> set[Vertex]:
+        """The vertices (w, x) chaining into v = (x, y) and (y, z) chaining out of it."""
+        x, y = self.require_vertex(v)
+        left = (Vertex(w, x) for w in range(1, x))
+        right = (Vertex(y, z) for z in range(y + 1, self.n_points + 1))
+        return {u for u in chain(left, right) if self._has(u)}
 
     def vertex_list(self) -> tuple[Vertex, ...]:
         return tuple(self.vertices())
@@ -102,24 +128,14 @@ class ReachView(GraphView):
     """The pairs (x, y), x < y <= reach(x), over the ground interval [1, n_points].
 
     A subclass gives n_points and reach(x), with x <= reach(x) <= n_points
-    on the ground interval.  The vertices, edges and neighbors are then
+    on the ground interval.  The vertices and edges are then
     arithmetic on reach: the chain (x, y) ~ (y, z) is an edge exactly
     when y <= reach(x) and z <= reach(y).  reach runs in every vertex and
     edge loop, so it checks nothing: callers pass an int x.
     """
 
-    def __contains__(self, v) -> bool:
-        try:
-            v = as_vertex(v)
-        except InvalidVertexError:
-            return False
+    def _has(self, v: Vertex) -> bool:
         return v.y <= self.reach(v.x)
-
-    def require_vertex(self, v) -> Vertex:
-        v = as_vertex(v)
-        if v.y > self.reach(v.x):
-            raise InvalidVertexError(f"{v} is not a vertex of {self!r}")
-        return v
 
     def _reaches(self) -> list[int]:
         """reach(x) at index x of [1, n_points], and 0 at index 0."""
@@ -137,13 +153,6 @@ class ReachView(GraphView):
     def edge_count(self) -> int:
         r = self._reaches()
         return sum(r[y] - y for x in range(1, len(r)) for y in range(x + 1, r[x] + 1))
-
-    def neighbors(self, v) -> set[Vertex]:
-        """All pairs chaining into v from the left or out of v to the right."""
-        v = self.require_vertex(v)
-        left = {Vertex(w, v.x) for w in range(1, v.x) if v.x <= self.reach(w)}
-        right = {Vertex(v.y, z) for z in range(v.y + 1, self.reach(v.y) + 1)}
-        return left | right
 
     def edge_ids(self) -> Iterator[tuple[int, int]]:
         """Each edge once as positions (i, j), i < j, in vertex_list(), ascending.
@@ -184,10 +193,11 @@ class InducedSubgraph(GraphView):
 
     def __post_init__(self):
         vs = tuple(sorted(self.parent.require_vertex(v) for v in self.verts))
-        if len(set(vs)) != len(vs):
+        pos = {v: t for t, v in enumerate(vs)}
+        if len(pos) != len(vs):
             raise InvalidVertexError("induced vertex set contains duplicates")
         object.__setattr__(self, "verts", vs)
-        object.__setattr__(self, "_members", frozenset(vs))
+        object.__setattr__(self, "_pos", pos)
         by_first: dict[int, list[Vertex]] = {}
         for v in vs:
             by_first.setdefault(v.x, []).append(v)
@@ -209,27 +219,12 @@ class InducedSubgraph(GraphView):
     def edge_count(self) -> int:
         return sum(len(self._by_first.get(v.y, ())) for v in self.verts)
 
-    def __contains__(self, v) -> bool:
-        try:
-            return as_vertex(v) in self._members
-        except InvalidVertexError:
-            return False
-
-    def require_vertex(self, v) -> Vertex:
-        v = as_vertex(v)
-        if v not in self._members:
-            raise InvalidVertexError(f"{v} is not in the induced vertex set")
-        return v
-
-    def neighbors(self, v) -> set[Vertex]:
-        v = self.require_vertex(v)
-        out = {w for w in self._by_first.get(v.y, ())}
-        out.update(Vertex(w, v.x) for w in range(1, v.x) if Vertex(w, v.x) in self._members)
-        return out
+    def _has(self, v: Vertex) -> bool:
+        return v in self._pos
 
     def edge_ids(self) -> Iterator[tuple[int, int]]:
         """As ReachView.edge_ids: v's partners (v.y, z) follow v in the sorted tuple."""
-        pos = {v: t for t, v in enumerate(self.verts)}
+        pos = self._pos
         return ((i, pos[w]) for i, v in enumerate(self.verts)
                 for w in self._by_first.get(v.y, ()))
 
@@ -281,9 +276,7 @@ class CriticalCore(ReachView):
         y <= hi(I_l), i.e. 2^(n-l) <= 2^n + 2 - y, is n + 1 - bit_length(2^n + 2 - y);
         for a member v that I_l holds x too, as lo(I_l) also ascends.
         """
-        v = as_vertex(v)
-        if v not in self:
-            raise InvalidVertexError(f"{v} is not in the critical core for n={self.n}")
+        v = self.require_vertex(v)
         return self.n + 1 - (2 ** self.n + 2 - v.y).bit_length()
 
     def to_json_dict(self) -> dict:

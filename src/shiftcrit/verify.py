@@ -278,7 +278,7 @@ def _exhaustive_uniqueness_row(report: TheoremReport, n: int) -> None:
     ok = critical == [core_mask]
     report.add(f"exactly one of {1 << len(verts)} induced subgraphs is "
                f"{target}-vertex-critical, and it is the core",
-               "exhaustive subset enumeration with brute-force chromatic numbers",
+               "exhaustive subset enumeration with chromatic numbers by subset DP",
                "pass" if ok else "fail",
                "enumeration:critical-subsets",
                {"count": len(critical),

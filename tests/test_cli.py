@@ -87,6 +87,8 @@ def test_chi_usage_errors(capsys):
     assert code == 2 and "not in the target graph" in err
     code, _, err = run(capsys, "chi", "5", "--delete", "nope")
     assert code == 2
+    code, _, err = run(capsys, "chi", "5", "--delete", "a,b")
+    assert code == 2 and "wants integers" in err
 
 
 def test_verify_pass_exit_and_report(capsys, tmp_path):
@@ -388,8 +390,9 @@ GOLDEN_OUT_SHA256 = {
         "0e1b7527fdf168a078da61cf72d8127d8dba8e0abf82c6367f2c95aa8ec375a3",
     ("chi", "--core", "3"):
         "051b67d93bfe0aa96dc019b688365e48eb215bedfbe252261a8656e4faec00b3",
+    # re-recorded when the enumeration row's method text named the subset DP
     ("verify", "1", "--n", "2"):
-        "390315ddcda68c14ed602b16c515bab210578aa78b5fb554978af02b92efa842",
+        "fa1662de02ff58707d9627a780e61b47c1b49ec5cc6f6753b9293f18e8c9011e",
     ("verify", "3", "--n", "3"):
         "c51472272efc8adb18ab68f7b6207834e5afbc5de123c563a588f4b9ea59151e",
 }

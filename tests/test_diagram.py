@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from shiftcrit import DiagramSpec, InvalidParameterError, critical_core, render_svg
+from shiftcrit import DiagramSpec, InvalidParameterError, critical_core, default_palette, render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -71,13 +71,12 @@ def test_no_hyperbola_flag():
     assert not [p for p in root.iter(SVG + "path") if p.get("class") == "hyperbola"]
 
 
-def test_palette_override_and_default():
-    palette = ("#111111", "#222222", "#333333", "#444444")
-    svg = render_svg(DiagramSpec(3, palette=palette))
-    for color in palette:
-        assert color in svg
-    with pytest.raises(InvalidParameterError):
-        render_svg(DiagramSpec(3, palette=("#111111",)))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_regions_take_the_default_palette_in_order(n):
+    root = parse(render_svg(DiagramSpec(n)))
+    fills = [g.find(SVG + "path").get("fill") for g in regions_of(root)]
+    assert fills == list(default_palette(n + 1))
+    assert len(set(fills)) == n + 1
 
 
 def test_axis_labels_match_orientation():

@@ -229,6 +229,21 @@ def test_core_edge_ids_are_those_of_its_induced_copy():
         assert core.edge_count() == copy.edge_count()
 
 
+def test_induced_refuses_duplicate_vertices():
+    with pytest.raises(InvalidVertexError, match="duplicates"):
+        build_shift_graph(4).induced([(1, 2), (1, 2)])
+
+
+def test_every_view_refuses_a_non_vertex_in_one_short_message():
+    big = critical_core(6).graph().induced(critical_core(6).vertex_list())
+    for view in (*protocol_views(), big):
+        with pytest.raises(InvalidVertexError) as info:
+            view.require_vertex((1, view.n_points + 1))
+        message = str(info.value)
+        assert message.startswith(f"(1,{view.n_points + 1}) is not a vertex of ")
+        assert len(message) < 80, message
+
+
 def test_least_interval_index():
     core = critical_core(3)
     assert core.least_interval_index(Vertex(2, 3)) == 1

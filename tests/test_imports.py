@@ -299,3 +299,29 @@ def test_views_are_checked_only_by_as_view():
     found = {(path.stem, where) for path in (ROOT / "src" / "shiftcrit").glob("*.py")
              for where, _ in view_checks(path.read_text("utf-8"))}
     assert found == {("graphs", "as_view"), ("sequences", "goodness_violation")}
+
+
+# a view kind states its vertex set once, as _has(v); GraphView answers
+# membership, the refusal of a non-vertex and the neighbors over it
+MEMBERSHIP_METHODS = {"__contains__", "require_vertex", "neighbors", "_has"}
+
+
+def membership_methods(source: str) -> dict[str, set[str]]:
+    """The membership methods, _has included, that each module-level class defines."""
+    return {c.name: {f.name for f in c.body if isinstance(f, ast.FunctionDef)} & MEMBERSHIP_METHODS
+            for c in ast.parse(source).body if isinstance(c, ast.ClassDef)}
+
+
+def test_membership_method_finder_lists_each_class():
+    source = ("class A:\n    def __contains__(self, v): ...\n    def degree(self, v): ...\n"
+              "class B(A):\n    def _has(self, v): ...\n    x = 1\ndef neighbors(g, v): ...\n")
+    assert membership_methods(source) == {"A": {"__contains__"}, "B": {"_has"}}
+
+
+def test_only_graph_view_answers_membership():
+    found = membership_methods((ROOT / "src" / "shiftcrit" / "graphs.py").read_text("utf-8"))
+    assert {name: methods for name, methods in found.items() if methods} == {
+        "GraphView": {"__contains__", "require_vertex", "neighbors"},
+        "ReachView": {"_has"},
+        "InducedSubgraph": {"_has"},
+    }

@@ -140,6 +140,25 @@ def test_budget_exhaustion_is_inconclusive():
     assert not res.conclusive and res.chi is None
 
 
+def test_an_empty_view_is_colored_by_nothing():
+    empty = build_shift_graph(4).induced([])
+    r = k_colorable_via_sequences(empty, 2)
+    assert (r.decision, r.nodes) == ("yes", 0)
+    assert r.certificate_sequence.entries == (0, 0, 0, 0)
+    assert k_colorable_bb(empty, 2).decision == "yes"
+    res = chromatic_number(empty)
+    assert res.conclusive and res.chi == 0 and res.queries == []
+
+
+def test_a_starved_confirmation_is_inconclusive():
+    # [1, 4] is bipartite, so the greedy bound 2 is also the lower bound and
+    # the binary search asks nothing; the confirming query at k = 2 runs out
+    res = chromatic_number(build_shift_graph(4), SearchBudget(max_nodes=1))
+    assert res.chi is None and not res.conclusive
+    assert [(q["k"], q["engine"], q["decision"]) for q in res.queries] == [
+        (2, "sequence", "inconclusive"), (2, "bb", "inconclusive")]
+
+
 def test_time_budget_holds_when_each_node_is_slow():
     # a DSATUR node scans all 4,950 vertices of the shift graph on [1, 100], so
     # 2,048 nodes take over a second: the clock must be read on every node

@@ -124,6 +124,18 @@ def test_formula_upper_rows():
     assert rep.status == "pass"
 
 
+def test_formula_starved_rows_are_inconclusive():
+    rep = verify_chromatic_formula(5, SearchBudget(max_nodes=1))
+    assert rep.status == "inconclusive"
+    statuses = {c.claim: c.status for c in rep.checks}
+    assert statuses == {
+        "chi of the shift graph on [1, 2] equals 1": "pass",
+        "chi of the shift graph on [1, 3] equals 2": "pass",
+        "chi of the shift graph on [1, 4] equals 2": "inconclusive",
+        "chi of the shift graph on [1, 5] equals 3": "inconclusive",
+    }
+
+
 def test_reports_are_deterministic():
     a = json.dumps(verify_uniqueness(2).to_json_dict(), sort_keys=True)
     b = json.dumps(verify_uniqueness(2).to_json_dict(), sort_keys=True)
