@@ -18,6 +18,13 @@ __version__ = "0.1.0"
 
 # the submodule that defines each public name
 _EXPORTS = {
+    "constructions": (
+        "construct_deleted_vertex_sequence",
+        "descending_full_sequence",
+        "is_saturated",
+        "saturate",
+        "saturation_trace",
+    ),
     "diagram": ("DiagramSpec", "default_palette", "render_svg"),
     "errors": (
         "ConstructionError",
@@ -27,6 +34,13 @@ _EXPORTS = {
         "InvalidVertexError",
         "SequenceLengthError",
         "ShiftCritError",
+    ),
+    "export": (
+        "core_json_chunks",
+        "dimacs_chunks",
+        "graph_json_chunks",
+        "graph_to_json_dict",
+        "to_dimacs",
     ),
     "graphs": (
         "CriticalCore",
@@ -38,11 +52,9 @@ _EXPORTS = {
         "as_vertex",
         "build_shift_graph",
         "critical_core",
-        "graph_to_json_dict",
         "induced_subgraph",
         "is_triangle_free",
         "neighbors",
-        "to_dimacs",
     ),
     "sequences": (
         "SubsetSequence",
@@ -50,14 +62,9 @@ _EXPORTS = {
         "coloring_from_dict",
         "coloring_from_sequence",
         "coloring_to_dict",
-        "construct_deleted_vertex_sequence",
-        "descending_full_sequence",
         "goodness_violation",
         "is_good",
-        "is_saturated",
         "proper_coloring_violation",
-        "saturate",
-        "saturation_trace",
         "sequence_from_coloring",
         "sequence_from_dict",
         "sequence_to_dict",

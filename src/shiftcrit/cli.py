@@ -13,10 +13,11 @@ Every output is streamed to stdout or to its --out file chunk by chunk,
 and an --out file appears only once it is complete.
 
 At import, this module loads only the standard library, `errors` and
-`graphs`, which every command uses.  The solvers, the verify pipelines
-and the SVG renderer load when a command first needs one of their
-names, through `_need`, so `core 3` or `gen 9` never loads them.  No
-command loads anything outside the standard library.  Commands look those
+`graphs`, which every command uses.  The graph exports, the solvers,
+the verify pipelines and the SVG renderer load when a command first
+needs one of their names, through `_need`, so `core 3` or `gen 9` never
+loads a solver and `chi` never loads the exports.  No command loads
+anything outside the standard library.  Commands look those
 names up as globals of this module at call time: a function set here
 with setattr, before or after the first command, is the one they call.
 """
@@ -31,25 +32,17 @@ import stat
 import sys
 
 from .errors import InvalidParameterError, InvalidVertexError
-from .graphs import (
-    as_vertex,
-    build_shift_graph,
-    core_json_chunks,
-    critical_core,
-    dimacs_chunks,
-    graph_json_chunks,
-    # not called by any command: kept as names of this module for callers that
-    # look them up here, such as the benchmark's tracer, which wraps them
-    graph_to_json_dict,
-    to_dimacs,
-)
+from .graphs import as_vertex, build_shift_graph, critical_core
 
 # the names a command imports on first use (see _need); the package knows
-# the submodule of each
+# the submodule of each.  graph_to_json_dict and to_dimacs are called by no
+# command: they are names of this module for callers that look them up
+# here, such as the benchmark's tracer, which wraps them
 _LAZY = frozenset({
     "DiagramSpec", "render_svg", "SearchBudget", "chromatic_number",
-    "verify_chromatic_formula", "verify_core_chromatic", "verify_criticality",
-    "verify_uniqueness",
+    "core_json_chunks", "dimacs_chunks", "graph_json_chunks", "graph_to_json_dict",
+    "to_dimacs", "verify_chromatic_formula", "verify_core_chromatic",
+    "verify_criticality", "verify_uniqueness",
 })
 
 
@@ -166,12 +159,14 @@ def _parse_vertex(text: str):
 
 def cmd_gen(args) -> int:
     g = build_shift_graph(args.n_points)
+    _need("dimacs_chunks", "graph_json_chunks")
     chunks = dimacs_chunks(g) if args.format == "dimacs" else graph_json_chunks(g)
     _write_chunks(chunks, args.out)
     return EXIT_OK
 
 
 def cmd_core(args) -> int:
+    _need("core_json_chunks")
     _write_chunks(core_json_chunks(critical_core(args.n)), args.out)
     return EXIT_OK
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .constructions import construct_deleted_vertex_sequence, descending_full_sequence
 from .errors import ShiftCritError, require_int
 from .graphs import ShiftGraph, build_shift_graph, critical_core
 from .sequences import (
     coloring_from_sequence,
     coloring_to_dict,
-    construct_deleted_vertex_sequence,
-    descending_full_sequence,
     full_graph_goodness_violation,
     full_graph_min_coloring_is_proper,
     sequence_to_dict,

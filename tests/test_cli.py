@@ -15,7 +15,8 @@ import pytest
 
 from shiftcrit import cli, verify
 from shiftcrit.cli import main
-from shiftcrit.graphs import build_shift_graph, critical_core, graph_to_json_dict
+from shiftcrit.export import graph_to_json_dict
+from shiftcrit.graphs import build_shift_graph, critical_core
 from shiftcrit.solvers import chromatic_number
 from shiftcrit.verify import verify_criticality
 

@@ -16,13 +16,13 @@ from shiftcrit import (
     induced_subgraph,
     is_triangle_free,
     neighbors,
-    to_dimacs,
 )
-from shiftcrit.graphs import (
+from shiftcrit.export import (
     core_json_chunks,
     dimacs_chunks,
     graph_json_chunks,
     graph_to_json_dict,
+    to_dimacs,
 )
 
 from oracles import (
@@ -242,6 +242,18 @@ def test_every_view_refuses_a_non_vertex_in_one_short_message():
         message = str(info.value)
         assert message.startswith(f"(1,{view.n_points + 1}) is not a vertex of ")
         assert len(message) < 80, message
+
+
+def test_an_induced_view_is_quoted_by_its_parent_and_size():
+    # the induced copy of W(8) has 31,103 vertices; its dataclass repr
+    # listed them all, 659,182 characters for one refusal
+    view = critical_core(8).induced(critical_core(8).vertices())
+    assert repr(view) == "CriticalCore(n=8).induced(<31103 vertices>)"
+    assert repr(view.induced([(1, 2)])) == \
+        "CriticalCore(n=8).induced(<31103 vertices>).induced(<1 vertices>)"
+    with pytest.raises(InvalidVertexError) as info:
+        view.require_vertex((1, 257))
+    assert str(info.value) == "(1,257) is not a vertex of CriticalCore(n=8).induced(<31103 vertices>)"
 
 
 def test_least_interval_index():

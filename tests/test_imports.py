@@ -35,7 +35,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(sys.modules)))
 """
 
-SOLVER_MODULES = {"shiftcrit.solvers", "shiftcrit.sequences", "shiftcrit.fullgraph", "shiftcrit.verify"}
+SOLVER_MODULES = {"shiftcrit.solvers", "shiftcrit.seqsearch", "shiftcrit.dsatur",
+                  "shiftcrit.sequences", "shiftcrit.fullgraph", "shiftcrit.constructions",
+                  "shiftcrit.verify"}
 
 
 @pytest.mark.parametrize("argv", (("core", "3"), ("gen", "9"), ("diagram", "3"), ("--help",)),
@@ -44,12 +46,16 @@ def test_export_commands_load_no_solver_and_no_numpy(argv):
     loaded = set(json.loads(fresh_python(LOADED_AFTER, *argv)))
     assert "shiftcrit.cli" in loaded
     assert not loaded & (SOLVER_MODULES | {"numpy"}), sorted(loaded & (SOLVER_MODULES | {"numpy"}))
+    # only gen and core write graphs
+    assert ("shiftcrit.export" in loaded) == (argv[0] in ("core", "gen"))
 
 
 def test_chi_loads_no_verify_and_no_diagram():
+    # nor the graph exports or the constructions: chi compiles only what it runs
     loaded = set(json.loads(fresh_python(LOADED_AFTER, "chi", "5")))
-    assert "shiftcrit.solvers" in loaded
-    assert not loaded & {"shiftcrit.verify", "shiftcrit.diagram", "numpy"}
+    assert {"shiftcrit.solvers", "shiftcrit.seqsearch", "shiftcrit.dsatur"} <= loaded
+    assert not loaded & {"shiftcrit.verify", "shiftcrit.diagram", "shiftcrit.export",
+                         "shiftcrit.constructions", "numpy"}
 
 
 @pytest.mark.parametrize("argv", (("verify", "1", "--n", "2"), ("verify", "2", "--n", "2"),
@@ -158,9 +164,8 @@ def test_wrappers_set_before_the_first_command_are_called(tmp_path):
 
 
 # names a module imports only for callers that look them up there: the
-# benchmark's tracer wraps the two exports in `cli` and `is_good` in `solvers`
+# benchmark's tracer wraps `is_good` in `solvers`
 REEXPORTS = {
-    "cli": {"graph_to_json_dict", "to_dimacs"},
     "solvers": {"is_good"},
 }
 
@@ -247,26 +252,47 @@ def test_only_errors_checks_integers(path):
     assert integer_checks(path.read_text(encoding="utf-8")) == []
 
 
-# the two engines share no search code (ROADMAP): the sequence engine calls none of
-# branch-and-bound's helpers, and branch-and-bound reads none of the engine's tables
-BB_HELPERS = {"_adjacency", "_most_saturated", "_greedy_clique", "_dsatur"}
-SEQUENCE_TABLES = {"_masks_descending", "masks_desc", "up_bits", "shift", "partner_shifts"}
+# the two engines share no search code (ROADMAP): each kernel module imports
+# neither the other nor `solvers`, so no helper can pass between them
+def package_imports(source: str) -> set[str]:
+    """The shiftcrit modules a source imports, at module level or inside functions."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "shiftcrit":
+                    continue
+                parts = parts[1:]
+            found.update(parts[:1] if parts and parts[0] else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("shiftcrit."))
+    return found
 
 
-def names_by_function(source: str) -> dict[str, set[str]]:
-    """The names and attribute names each module-level function mentions."""
-    return {f.name: {getattr(n, "id", None) or getattr(n, "attr", None)
-                     for n in ast.walk(f)} - {None}
-            for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+def test_package_import_finder_flags_each_form():
+    source = ("from .sequences import a\nfrom . import solvers\nfrom shiftcrit.dsatur import b\n"
+              "from shiftcrit import cli\nimport shiftcrit.graphs, os\nfrom os import path\n"
+              "def f():\n    from .verify import c\n")
+    assert package_imports(source) == {"sequences", "solvers", "dsatur", "cli", "graphs", "verify"}
+
+
+KERNEL_LOADS = """
+import json, sys
+import shiftcrit.{}
+print(json.dumps(sorted(sys.modules)))
+"""
 
 
 def test_the_two_engines_share_no_search_code():
-    names = names_by_function((ROOT / "src" / "shiftcrit" / "solvers.py").read_text("utf-8"))
-    sequence = names["k_colorable_via_sequences"]
-    assert SEQUENCE_TABLES <= sequence  # the engine still uses these names
-    assert not sequence & BB_HELPERS
-    for bb in ("_dsatur", "k_colorable_bb"):
-        assert not names[bb] & SEQUENCE_TABLES, bb
+    solvers = package_imports((ROOT / "src" / "shiftcrit" / "solvers.py").read_text("utf-8"))
+    for kernel, other in (("seqsearch", "dsatur"), ("dsatur", "seqsearch")):
+        source = (ROOT / "src" / "shiftcrit" / f"{kernel}.py").read_text("utf-8")
+        assert not package_imports(source) & {other, "solvers"}, kernel
+        loaded = set(json.loads(fresh_python(KERNEL_LOADS.format(kernel))))
+        assert not loaded & {f"shiftcrit.{other}", "shiftcrit.solvers"}, kernel
+        assert kernel in solvers
 
 
 # a graph argument is checked once, by graphs.as_view; the goodness check's

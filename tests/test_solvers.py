@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcrit import solvers
+from shiftcrit import dsatur, seqsearch
+from shiftcrit.cli import main
 from shiftcrit import (
     ConstructionError,
     InvalidParameterError,
@@ -33,7 +34,7 @@ TIGHT = SearchBudget(max_nodes=2_000_000, max_seconds=60.0)
 
 def capped_memo_run(cap, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_MEMO_CAP", cap)
+        mp.setattr(seqsearch, "_MEMO_CAP", cap)
         return k_colorable_via_sequences(*args, **kwargs)
 
 
@@ -182,6 +183,40 @@ def test_time_budget_covers_the_adjacency_build(run):
     start = time.monotonic()
     assert not run(SearchBudget(max_seconds=0.1))
     assert time.monotonic() - start < 0.5
+
+
+def test_the_edge_cap_refuses_400_before_building_a_row():
+    # [1, 400]'s adjacency rows took 877 MB; [1, 250] must still reach the
+    # clock in the test above
+    g400 = build_shift_graph(400)
+    assert g400.edge_count() == 10_586_800 > dsatur._MAX_EDGES >= G250.edge_count() == 2_573_000
+    tracemalloc.start()
+    try:
+        r = k_colorable_bb(g400, 3)
+        assert greedy_coloring(g400) is None
+        assert not chromatic_number(g400).conclusive
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.decision, r.nodes, r.prunes) == ("inconclusive", 0, 0)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("view, argv", ((build_shift_graph(6), ["chi", "6"]),
+                                        (critical_core(3), ["chi", "--core", "3"])),
+                         ids=("shift graph 6", "W(3)"))
+def test_the_edge_cap_admits_its_own_count_and_refuses_one_more(monkeypatch, capsys, view, argv):
+    edges = view.edge_count()
+    want = k_colorable_bb(view, 3, TIGHT)  # "yes" on [1, 6], "no" on W(3)
+    monkeypatch.setattr(dsatur, "_MAX_EDGES", edges)
+    at_cap = k_colorable_bb(view, 3, TIGHT)
+    assert (at_cap.decision, at_cap.nodes, at_cap.prunes) == (want.decision, want.nodes, want.prunes)
+    monkeypatch.setattr(dsatur, "_MAX_EDGES", edges - 1)
+    over = k_colorable_bb(view, 3, TIGHT)
+    assert (over.decision, over.nodes, over.prunes) == ("inconclusive", 0, 0)
+    assert greedy_coloring(view) is None
+    assert main(argv) == 3
+    assert capsys.readouterr().out == "chi inconclusive within budget\n"
 
 
 def test_sequence_engine_agrees_with_bb_on_cores_and_full_graphs():
@@ -412,7 +447,7 @@ def dense_instances(draw):
 def test_adjacency_rows_are_the_neighbor_positions(case):
     g, verts = case
     for view in (g, induced_subgraph(g, verts)):
-        adj = solvers._adjacency(view)
+        adj = dsatur._adjacency(view)
         verts = view.vertex_list()
         assert len(adj) == len(verts)
         pos = {v: t for t, v in enumerate(verts)}
