@@ -12,7 +12,6 @@ from shiftcrit import (
     build_shift_graph,
     chromatic_number,
     is_triangle_free,
-    neighbors,
 )
 
 # -- sizes follow binomial coefficients -----------------------------------
@@ -26,7 +25,7 @@ for n_points in (4, 8, 16, 64):
 
 g = build_shift_graph(6)
 v = next(iter(g.vertices()))
-print(f"\nneighbors of {v}: {sorted(str(u) for u in neighbors(g, v))}")
+print(f"\nneighbors of {v}: {sorted(str(u) for u in g.neighbors(v))}")
 
 # every (x, y) has (x - 1) pairs ending at x and (N - y) starting at y
 for v in list(g.vertices())[:4]:

@@ -10,7 +10,7 @@ up on the hyperbola x * y = 2^n.
 """
 from pathlib import Path
 
-from shiftcrit import DiagramSpec, critical_core, render_svg
+from shiftcrit import critical_core, render_svg
 
 # -- the intervals overlap and shrink dyadically ---------------------------
 
@@ -42,5 +42,5 @@ print("\nclosed under reversal:", flipped == members)
 # -- the picture ------------------------------------------------------------
 
 out = Path(__file__).with_name("core4.svg")
-out.write_text(render_svg(DiagramSpec(4)))
+out.write_text(render_svg(4))
 print(f"wrote {out.name}: 5 shaded regions, 87 cells, dotted hyperbola")

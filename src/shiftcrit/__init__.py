@@ -25,7 +25,7 @@ _EXPORTS = {
         "saturate",
         "saturation_trace",
     ),
-    "diagram": ("DiagramSpec", "default_palette", "render_svg"),
+    "diagram": ("default_palette", "render_svg"),
     "errors": (
         "ConstructionError",
         "GoodnessError",
@@ -37,6 +37,7 @@ _EXPORTS = {
     ),
     "export": (
         "core_json_chunks",
+        "core_to_json_dict",
         "dimacs_chunks",
         "graph_json_chunks",
         "graph_to_json_dict",
@@ -52,9 +53,7 @@ _EXPORTS = {
         "as_vertex",
         "build_shift_graph",
         "critical_core",
-        "induced_subgraph",
         "is_triangle_free",
-        "neighbors",
     ),
     "sequences": (
         "SubsetSequence",

@@ -32,14 +32,14 @@ import stat
 import sys
 
 from .errors import InvalidParameterError, InvalidVertexError
-from .graphs import as_vertex, build_shift_graph, critical_core
+from .graphs import build_shift_graph, critical_core
 
 # the names a command imports on first use (see _need); the package knows
 # the submodule of each.  graph_to_json_dict and to_dimacs are called by no
 # command: they are names of this module for callers that look them up
 # here, such as the benchmark's tracer, which wraps them
 _LAZY = frozenset({
-    "DiagramSpec", "render_svg", "SearchBudget", "chromatic_number",
+    "render_svg", "SearchBudget", "chromatic_number",
     "core_json_chunks", "dimacs_chunks", "graph_json_chunks", "graph_to_json_dict",
     "to_dimacs", "verify_chromatic_formula", "verify_core_chromatic",
     "verify_criticality", "verify_uniqueness",
@@ -154,7 +154,7 @@ def _parse_vertex(text: str):
         x, y = int(parts[0]), int(parts[1])
     except ValueError:
         raise InvalidParameterError(f"--delete wants integers, got {text!r}")
-    return as_vertex((x, y))
+    return x, y
 
 
 def cmd_gen(args) -> int:
@@ -179,9 +179,7 @@ def cmd_chi(args) -> int:
     else:
         view = build_shift_graph(args.n_points)
     if args.delete is not None:
-        v = _parse_vertex(args.delete)
-        if v not in view:
-            raise InvalidVertexError(f"vertex {v} is not in the target graph")
+        v = view.require_vertex(_parse_vertex(args.delete))
         view = view.induced(w for w in view.vertices() if w != v)
     _need("chromatic_number")
     res = chromatic_number(view, _budget(args))
@@ -222,10 +220,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    _need("DiagramSpec", "render_svg")
-    spec = DiagramSpec(args.n, cell_size=args.cell_size or 0,
-                       hyperbola=not args.no_hyperbola)
-    _emit(render_svg(spec), args.out)
+    _need("render_svg")
+    _emit(render_svg(args.n, args.cell_size, hyperbola=not args.no_hyperbola), args.out)
     return EXIT_OK
 
 
@@ -279,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="render the core as SVG")
     p.add_argument("n", type=int)
-    p.add_argument("--cell-size", type=int, default=None, metavar="PX")
+    p.add_argument("--cell-size", type=int, default=0, metavar="PX")
     p.add_argument("--no-hyperbola", action="store_true")
     p.add_argument("--out", default=None)
     return parser

@@ -15,19 +15,9 @@ timestamps.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass
 
 from .errors import require_int
 from .graphs import critical_core
-
-
-@dataclass(frozen=True)
-class DiagramSpec:
-    """Rendering parameters; a zero cell_size falls back to default_cell_size(n)."""
-
-    n: int
-    cell_size: int = 0
-    hyperbola: bool = True
 
 
 def default_cell_size(n: int) -> int:
@@ -61,12 +51,16 @@ def _region_path(lo: int, hi: int, k: int, mx, my) -> str:
     return " ".join(parts)
 
 
-def render_svg(spec: DiagramSpec) -> str:
-    """Render the core diagram for spec.n as a standalone SVG document."""
-    n = require_int(spec.n, "n", 2, 8)
+def render_svg(n: int, cell_size: int = 0, hyperbola: bool = True) -> str:
+    """Render the core diagram for n as a standalone SVG document.
+
+    A zero cell_size falls back to default_cell_size(n); hyperbola draws
+    the dotted curve X * Y = 2^n through the region corners.
+    """
+    require_int(n, "n", 2, 8)
     core = critical_core(n)
     k = core.n_points
-    cs = require_int(spec.cell_size, "cell_size", 0) or default_cell_size(n)
+    cs = require_int(cell_size, "cell_size", 0) or default_cell_size(n)
     palette = default_palette(n + 1)
 
     pad_left = 2 * cs
@@ -129,7 +123,7 @@ def render_svg(spec: DiagramSpec) -> str:
                    f'text-anchor="end">{i}</text>')
     out.append('</g>')
 
-    if spec.hyperbola:
+    if hyperbola:
         # log-spaced samples so every region corner X = 2^l is hit exactly
         steps = 16 * n
         pts = []

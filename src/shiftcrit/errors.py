@@ -41,12 +41,10 @@ class GoodnessError(ShiftCritError, ValueError):
     vertex.
     """
 
-    def __init__(self, pair: tuple[int, int], message: str | None = None):
+    def __init__(self, pair: tuple[int, int]):
         self.pair = pair
-        if message is None:
-            i, j = pair
-            message = f"entry {i} is contained in entry {j} but ({i},{j}) is constrained"
-        super().__init__(message)
+        i, j = pair
+        super().__init__(f"entry {i} is contained in entry {j} but ({i},{j}) is constrained")
 
 
 class ImproperColoringError(ShiftCritError, ValueError):
@@ -55,12 +53,10 @@ class ImproperColoringError(ShiftCritError, ValueError):
     Carries one witnessing edge (u, w).
     """
 
-    def __init__(self, edge, message: str | None = None):
+    def __init__(self, edge):
         self.edge = edge
-        if message is None:
-            u, w = edge
-            message = f"adjacent vertices {tuple(u)} and {tuple(w)} share a color"
-        super().__init__(message)
+        u, w = edge
+        super().__init__(f"adjacent vertices {tuple(u)} and {tuple(w)} share a color")
 
 
 class ConstructionError(ShiftCritError, RuntimeError):

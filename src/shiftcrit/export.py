@@ -4,7 +4,8 @@ Every export reads a view's vertices() and edge_ids(), so memory stays
 O(vertices) for an induced subgraph and O(N) for a shift graph or a
 core, whose vertices stream from reach.  The streamed bytes equal those
 of the in-memory exports: `to_dimacs`, and json.dumps(..., indent=2,
-sort_keys=True) of `graph_to_json_dict(view)` or `core.to_json_dict()`.
+sort_keys=True) of `graph_to_json_dict(view)` or `core_to_json_dict(core)`.
+Each JSON layout is written here and nowhere else.
 
 Only `gen` and `core` write graphs, so the CLI loads this module for
 those two commands alone.
@@ -83,6 +84,11 @@ def _json_list(items) -> Iterator[str]:
     yield "[]" if sep == "[\n" else "\n  ]"
 
 
+def _json_pair(a: int, b: int) -> str:
+    """The list [a, b] at depth 2 of indent=2 JSON."""
+    return f"    [\n      {a},\n      {b}\n    ]"
+
+
 def graph_json_chunks(view) -> Iterator[str]:
     """JSON text of graph_to_json_dict(view) in chunks, as json.dumps writes it.
 
@@ -96,8 +102,7 @@ def graph_json_chunks(view) -> Iterator[str]:
 
     def pieces():
         yield f'{{\n  "edge_count": {m},\n  "edges": '
-        yield from _json_list(f"    [\n      {i},\n      {j}\n    ]"
-                              for i, j in edges)
+        yield from _json_list(_json_pair(i, j) for i, j in edges)
         yield (f',\n  "n_points": {view.n_points},\n  "vertex_count": {n},'
                '\n  "vertices": ')
         yield from _json_list(
@@ -109,20 +114,17 @@ def graph_json_chunks(view) -> Iterator[str]:
 
 
 def core_json_chunks(core) -> Iterator[str]:
-    """JSON text of a CriticalCore's to_json_dict() in chunks, as json.dumps writes it.
+    """JSON text of core_to_json_dict(core) in chunks, as json.dumps writes it.
 
-    The bytes equal json.dumps(core.to_json_dict(), indent=2,
+    The bytes equal json.dumps(core_to_json_dict(core), indent=2,
     sort_keys=True) plus a final newline; members stream from
     core.vertices(), so no member table is built.
     """
-    def pair(a, b):
-        return f"    [\n      {a},\n      {b}\n    ]"
-
     def pieces():
         yield '{\n  "intervals": '
-        yield from _json_list(pair(iv.lo, iv.hi) for iv in core.intervals)
+        yield from _json_list(_json_pair(iv.lo, iv.hi) for iv in core.intervals)
         yield ',\n  "members": '
-        yield from _json_list(pair(v.x, v.y) for v in core.vertices())
+        yield from _json_list(_json_pair(v.x, v.y) for v in core.vertices())
         yield f',\n  "n": {core.n},\n  "n_points": {core.n_points}\n}}\n'
 
     return _joined(pieces())
@@ -140,4 +142,14 @@ def graph_to_json_dict(view) -> dict:
         "edge_count": len(edges),
         "vertices": [{"id": ids[v], "x": v.x, "y": v.y} for v in verts],
         "edges": [[i, j] for i, j in edges],
+    }
+
+
+def core_to_json_dict(core) -> dict:
+    """JSON-ready dump of a CriticalCore: n, n_points, its intervals and its members."""
+    return {
+        "n": core.n,
+        "n_points": core.n_points,
+        "intervals": [[iv.lo, iv.hi] for iv in core.intervals],
+        "members": [[v.x, v.y] for v in core.vertices()],
     }

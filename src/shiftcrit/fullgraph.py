@@ -32,7 +32,8 @@ def _full_graph_args(seq: SubsetSequence, n_points: int, skip_pair):
     """First n_points entries of seq and skip_pair as a tuple, after checking both."""
     require_int(n_points, "n_points", 0)
     if len(seq) < n_points:
-        raise SequenceLengthError(f"need at least {n_points} entries, got {len(seq)}")
+        raise SequenceLengthError(f"constraints reach ground index {n_points} "
+                                  f"but the sequence has length {len(seq)}")
     if skip_pair is not None:
         if not isinstance(skip_pair, (tuple, list)) or len(skip_pair) != 2:
             raise InvalidParameterError(

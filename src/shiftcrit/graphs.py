@@ -287,28 +287,10 @@ class CriticalCore(ReachView):
         v = self.require_vertex(v)
         return self.n + 1 - (2 ** self.n + 2 - v.y).bit_length()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_points": self.n_points,
-            "intervals": [[iv.lo, iv.hi] for iv in self.intervals],
-            "members": [[v.x, v.y] for v in self.vertices()],
-        }
-
 
 def build_shift_graph(n_points: int) -> ShiftGraph:
     """Shift graph on the ground interval [1, n_points]; needs n_points >= 2."""
     return ShiftGraph(n_points)
-
-
-def neighbors(graph, v) -> set[Vertex]:
-    """Neighbor set of v in a graph view."""
-    return graph.neighbors(v)
-
-
-def induced_subgraph(graph: GraphView, X) -> InducedSubgraph:
-    """Subgraph of a graph view induced by the vertex set X."""
-    return graph.induced(X)
 
 
 def critical_core(n: int) -> CriticalCore:

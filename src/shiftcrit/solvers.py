@@ -85,9 +85,11 @@ class ColorabilityResult:
         return self.decision != "inconclusive"
 
     def refutation_record(self) -> dict:
-        if self.decision != "no":
+        """The search's counts, conclusive for "no" and not after a cut-off; "yes" has none."""
+        if self.decision == "yes":
             raise InvalidParameterError(f"no refutation to record for decision {self.decision!r}")
-        return {"k": self.k, "nodes": self.nodes, "prunes": self.prunes, "conclusive": True}
+        return {"k": self.k, "nodes": self.nodes, "prunes": self.prunes,
+                "conclusive": self.conclusive}
 
     def query_record(self) -> dict:
         return {"k": self.k, "engine": self.engine, "decision": self.decision,
@@ -105,12 +107,13 @@ class ChromaticResult:
     queries: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
+        """JSON-ready data that shares the result's own `refutation` and `queries`."""
         return {
             "chi": self.chi,
             "conclusive": self.conclusive,
             "coloring": coloring_to_dict(self.coloring) if self.coloring else None,
             "refutation": self.refutation,
-            "queries": list(self.queries),
+            "queries": self.queries,
         }
 
 

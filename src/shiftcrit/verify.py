@@ -40,7 +40,7 @@ from .solvers import (
 
 def _combined(statuses) -> str:
     """One status for several: fail beats inconclusive (or no status at all) beats pass."""
-    statuses = list(statuses)
+    statuses = set(statuses)
     if "fail" in statuses:
         return "fail"
     if not statuses or "inconclusive" in statuses:
@@ -57,9 +57,14 @@ class CheckRecord:
     status: str  # "pass" | "fail" | "inconclusive"
     certificate_ref: str | None = None
 
+    def __post_init__(self):
+        # CPython 3.11+ builds an instance's __dict__ on first use; build it
+        # with the row, so serializing a report allocates nothing per row
+        vars(self)
+
     def to_json_dict(self) -> dict:
-        return {"claim": self.claim, "method": self.method,
-                "status": self.status, "certificate_ref": self.certificate_ref}
+        """The record's own field dict: the row is serialized as itself, not copied."""
+        return vars(self)
 
 
 @dataclass
@@ -83,13 +88,15 @@ class TheoremReport:
             self.certificates[ref] = payload
 
     def to_json_dict(self) -> dict:
+        """JSON-ready data that shares the report's objects: its rows' field
+        dicts and its own `skipped` list and `certificates` dict, not copies."""
         return {
             "theorem": self.theorem,
             "n": self.n,
             "checks": [c.to_json_dict() for c in self.checks],
             "status": self.status,
-            "skipped": list(self.skipped),
-            "certificates": dict(self.certificates),
+            "skipped": self.skipped,
+            "certificates": self.certificates,
         }
 
 
@@ -132,14 +139,11 @@ def _refutation_row(r: ColorabilityResult,
 
     "no" passes with its refutation record; "yes" fails, carrying the
     certificate sequence when `counterexample` is set; a budget cut-off
-    is inconclusive with the counts reached so far.
+    is inconclusive with its record of the counts reached so far.
     """
-    if r.decision == "no":
-        return "pass", r.refutation_record()
     if r.decision == "yes":
         return "fail", sequence_to_dict(r.certificate_sequence) if counterexample else None
-    return "inconclusive", {"k": r.k, "nodes": r.nodes, "prunes": r.prunes,
-                            "conclusive": False}
+    return ("pass" if r.conclusive else "inconclusive"), r.refutation_record()
 
 
 def _nonmember_rows(report: TheoremReport, n: int, budget: SearchBudget) -> None:

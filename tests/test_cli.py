@@ -15,7 +15,7 @@ import pytest
 
 from shiftcrit import cli, verify
 from shiftcrit.cli import main
-from shiftcrit.export import graph_to_json_dict
+from shiftcrit.export import core_to_json_dict, graph_to_json_dict
 from shiftcrit.graphs import build_shift_graph, critical_core
 from shiftcrit.solvers import chromatic_number
 from shiftcrit.verify import verify_criticality
@@ -85,7 +85,7 @@ def test_chi_usage_errors(capsys):
     code, _, err = run(capsys, "chi", "5", "--core", "2")
     assert code == 2
     code, _, err = run(capsys, "chi", "5", "--delete", "1,9")
-    assert code == 2 and "not in the target graph" in err
+    assert code == 2 and "(1,9) is not a vertex of ShiftGraph(n_points=5)" in err
     code, _, err = run(capsys, "chi", "5", "--delete", "nope")
     assert code == 2
     code, _, err = run(capsys, "chi", "5", "--delete", "a,b")
@@ -244,7 +244,7 @@ def dumps(obj):
 def test_stdout_and_out_file_bytes_match_in_memory_encoding(capsys, tmp_path):
     cases = ((("gen", "9"), sorted_dimacs(build_shift_graph(9))),
              (("gen", "9", "--format", "json"), dumps(graph_to_json_dict(build_shift_graph(9)))),
-             (("core", "3"), dumps(critical_core(3).to_json_dict())))
+             (("core", "3"), dumps(core_to_json_dict(critical_core(3)))))
     for argv, want in cases:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out == want
@@ -288,7 +288,7 @@ def test_stale_temporary_file_is_skipped_and_left_alone(capsys, tmp_path):
     for path in stale:
         path.write_text("stale\n")
     assert run(capsys, "core", "2", "--out", str(target))[0] == 0
-    assert target.read_bytes() == dumps(critical_core(2).to_json_dict()).encode("utf-8")
+    assert target.read_bytes() == dumps(core_to_json_dict(critical_core(2))).encode("utf-8")
     assert [path.read_text() for path in stale] == ["stale\n", "stale\n"]
     assert sorted(os.listdir(tmp_path)) == sorted(["core2.json"] + [p.name for p in stale])
 

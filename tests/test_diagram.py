@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from shiftcrit import DiagramSpec, InvalidParameterError, critical_core, default_palette, render_svg
+from shiftcrit import InvalidParameterError, critical_core, default_palette, render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -21,7 +21,7 @@ def cells_of(root):
 
 @pytest.mark.parametrize("n,members", [(2, 5), (3, 19), (4, 87)])
 def test_cells_are_exactly_the_core(n, members):
-    root = parse(render_svg(DiagramSpec(n)))
+    root = parse(render_svg(n))
     cells = cells_of(root)
     got = {(int(c.get("data-x")), int(c.get("data-y"))) for c in cells}
     assert len(cells) == members == len(got)
@@ -30,7 +30,7 @@ def test_cells_are_exactly_the_core(n, members):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_one_region_per_interval_with_corners_on_hyperbola(n):
-    root = parse(render_svg(DiagramSpec(n)))
+    root = parse(render_svg(n))
     regions = regions_of(root)
     assert len(regions) == n + 1
     assert [int(g.get("data-interval")) for g in regions] == list(range(n + 1))
@@ -41,8 +41,7 @@ def test_one_region_per_interval_with_corners_on_hyperbola(n):
 
 def test_region_path_starts_at_its_corner():
     n, cs = 3, 20
-    spec = DiagramSpec(n, cell_size=cs)
-    root = parse(render_svg(spec))
+    root = parse(render_svg(n, cell_size=cs))
     k = 2 ** n + 1
     for g in regions_of(root):
         d = g.find(SVG + "path").get("d").split()
@@ -53,8 +52,7 @@ def test_region_path_starts_at_its_corner():
 
 
 def test_hyperbola_passes_through_corners():
-    spec = DiagramSpec(4, cell_size=16)
-    root = parse(render_svg(spec))
+    root = parse(render_svg(4, cell_size=16))
     path = next(p for p in root.iter(SVG + "path")
                 if p.get("class") == "hyperbola")
     coords = path.get("d").replace("M", "").replace("L", "").split()
@@ -67,13 +65,13 @@ def test_hyperbola_passes_through_corners():
 
 
 def test_no_hyperbola_flag():
-    root = parse(render_svg(DiagramSpec(3, hyperbola=False)))
+    root = parse(render_svg(3, hyperbola=False))
     assert not [p for p in root.iter(SVG + "path") if p.get("class") == "hyperbola"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_regions_take_the_default_palette_in_order(n):
-    root = parse(render_svg(DiagramSpec(n)))
+    root = parse(render_svg(n))
     fills = [g.find(SVG + "path").get("fill") for g in regions_of(root)]
     assert fills == list(default_palette(n + 1))
     assert len(set(fills)) == n + 1
@@ -81,7 +79,7 @@ def test_regions_take_the_default_palette_in_order(n):
 
 def test_axis_labels_match_orientation():
     # x runs 1..2^n left to right along the bottom; y runs 2..2^n+1 top to bottom
-    root = parse(render_svg(DiagramSpec(2, cell_size=30)))
+    root = parse(render_svg(2, cell_size=30))
     texts = [(t.text, float(t.get("x")), float(t.get("y")))
              for t in root.iter(SVG + "text")]
     xs = sorted((x, label) for label, x, y in texts if label in "1234" and y > 140)
@@ -91,12 +89,12 @@ def test_axis_labels_match_orientation():
 
 
 def test_deterministic_bytes():
-    assert render_svg(DiagramSpec(4)) == render_svg(DiagramSpec(4))
+    assert render_svg(4) == render_svg(4)
 
 
 def test_rejects_out_of_range():
     for bad in (1, 9, 0, "2"):
         with pytest.raises(InvalidParameterError):
-            render_svg(DiagramSpec(bad))
+            render_svg(bad)
     with pytest.raises(InvalidParameterError):
-        render_svg(DiagramSpec(3, cell_size=-5))
+        render_svg(3, cell_size=-5)

@@ -13,12 +13,11 @@ from shiftcrit import (
     as_vertex,
     build_shift_graph,
     critical_core,
-    induced_subgraph,
     is_triangle_free,
-    neighbors,
 )
 from shiftcrit.export import (
     core_json_chunks,
+    core_to_json_dict,
     dimacs_chunks,
     graph_json_chunks,
     graph_to_json_dict,
@@ -70,7 +69,7 @@ def test_neighbor_sets_and_degree_formula():
     n_points = 9
     g = build_shift_graph(n_points)
     for v in g.vertices():
-        nbrs = set(neighbors(g, v))
+        nbrs = set(g.neighbors(v))
         assert nbrs == {u for u in g.vertices() if brute_adjacent(tuple(u), tuple(v))}
         # left partners share v.x as second coordinate, right ones v.y as first
         assert g.degree(v) == (v.x - 1) + (n_points - v.y)
@@ -278,11 +277,11 @@ def test_least_interval_is_least(n):
 
 def test_induced_subgraph_edges():
     g = build_shift_graph(6)
-    sub = induced_subgraph(g, [(1, 2), (2, 3), (3, 4), (1, 5)])
+    sub = g.induced([(1, 2), (2, 3), (3, 4), (1, 5)])
     assert sorted((tuple(u), tuple(v)) for u, v in sub.edges()) == \
         [((1, 2), (2, 3)), ((2, 3), (3, 4))]
     with pytest.raises(InvalidVertexError):
-        induced_subgraph(g, [(1, 7)])
+        g.induced([(1, 7)])
 
 
 def test_dimacs_format():
@@ -301,8 +300,8 @@ def export_views():
         yield build_shift_graph(n_points)
     for n in (2, 3, 4):
         yield critical_core(n)
-    yield induced_subgraph(build_shift_graph(6), [(1, 2), (1, 3), (4, 5), (4, 6)])
-    yield induced_subgraph(build_shift_graph(6), [])
+    yield build_shift_graph(6).induced([(1, 2), (1, 3), (4, 5), (4, 6)])
+    yield build_shift_graph(6).induced([])
 
 
 def test_streamed_json_matches_json_dumps():
@@ -321,7 +320,7 @@ def test_streamed_dimacs_matches_sorted_oracle():
 def test_streamed_core_json_matches_json_dumps():
     for n in range(2, 10):
         core = critical_core(n)
-        want = json.dumps(core.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        want = json.dumps(core_to_json_dict(core), indent=2, sort_keys=True) + "\n"
         assert "".join(core_json_chunks(core)) == want
 
 
@@ -338,7 +337,7 @@ def test_shift_graph_edge_ids_are_the_brute_force_chains():
 def test_edges_ascend_in_vertex_id_order(n_points, data):
     g = build_shift_graph(n_points)
     keep = data.draw(st.lists(st.sampled_from(g.vertex_list()), unique=True))
-    for view in (g, induced_subgraph(g, keep)):
+    for view in (g, g.induced(keep)):
         ids = {v: i for i, v in enumerate(view.vertex_list())}
         pairs = [(ids[u], ids[w]) for u, w in view.edges()]
         assert all(i < j for i, j in pairs)

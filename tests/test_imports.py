@@ -158,7 +158,7 @@ def test_wrappers_set_before_the_first_command_are_called(tmp_path):
     assert result["calls"] == {"chromatic_number": 1, "critical_core": 1}
     assert result["wrapped"] == result["restored"] == [
         sha256_of_json(shiftcrit.chromatic_number(shiftcrit.build_shift_graph(5)).to_json_dict()),
-        sha256_of_json(shiftcrit.critical_core(3).to_json_dict()),
+        sha256_of_json(shiftcrit.core_to_json_dict(shiftcrit.critical_core(3))),
     ]
     assert result["same"] is True
 

@@ -130,8 +130,6 @@ def test_skip_pair_is_exempt():
     seq = seq_of([{1}, {1}], 1)
     assert full_graph_goodness_violation(seq, 2) == (1, 2)
     assert full_graph_goodness_violation(seq, 2, skip_pair=(1, 2)) is None
-    assert not full_graph_min_coloring_is_proper(seq, 2)
-    assert full_graph_min_coloring_is_proper(seq, 2, skip_pair=(1, 2))
 
 
 def test_constraint_length_guard():
@@ -143,6 +141,15 @@ def test_constraint_length_guard():
     for check in (is_good, goodness_violation, coloring_from_sequence, saturation_trace):
         with pytest.raises(SequenceLengthError):
             check(seq, pair_view([(1, 10), (2, 3)], 10))
+
+
+@pytest.mark.parametrize("view", [build_shift_graph(5), critical_core(2),
+                                  build_shift_graph(5).induced([(1, 5)])],
+                         ids=("shift graph", "core", "induced"))
+def test_each_view_kind_refuses_a_short_sequence_in_one_wording(view):
+    with pytest.raises(SequenceLengthError) as refused:
+        is_good(SubsetSequence((1, 0), 1), view)
+    assert str(refused.value) == "constraints reach ground index 5 but the sequence has length 2"
 
 
 # --- bulk kernels over the whole shift graph ------------------------------
@@ -221,11 +228,12 @@ def test_min_coloring_is_proper_and_colors_every_pair_iff_good(inp):
     colors = {Vertex(i, j): c for (i, j), c in brute_min_coloring(sets, n_points, skip).items()}
     assert proper_coloring_violation(VertexColoring(colors, seq.n), pair_view(colors, n_points)) is None
     # ... and colors every pair but the skipped one exactly when the sequence is good
-    want = brute_least_violation(sets, all_pairs(n_points), skip) is None
-    # grounds up to _TABLE_MAX_GROUND use the mask tables; check the other path on them too
-    for cap in (fullgraph._TABLE_MAX_GROUND, -1):
-        with mock.patch.object(fullgraph, "_TABLE_MAX_GROUND", cap):
-            assert full_graph_min_coloring_is_proper(seq, n_points, skip_pair=skip) == want
+    pairs = all_pairs(n_points)
+    good = brute_least_violation(sets, pairs, skip) is None
+    assert (len(colors) == len(pairs) - (skip is not None)) == good
+    # so the lemma's name is the goodness kernel's answer, which the test above checks
+    assert full_graph_min_coloring_is_proper(seq, n_points, skip_pair=skip) == \
+        (full_graph_goodness_violation(seq, n_points, skip_pair=skip) is None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -241,7 +249,7 @@ def test_goodness_violation_on_a_long_pair_list(n, length, descending, seed):
         assert goodness_violation(seq, pair_view(pairs, length)) == brute_least_violation(sets, pairs)
 
 
-@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper))
+@pytest.mark.parametrize("kernel", (full_graph_goodness_violation,))
 @pytest.mark.parametrize("skip", ((1, 6), (0, 2), (3, 2), (2, 2), (-2, 1), (1,), (1, 2, 3),
                                   (1.0, 2), (True, 2), "12", 3), ids=repr)
 def test_skip_pair_must_be_a_pair_of_the_graph(kernel, skip):
@@ -261,8 +269,7 @@ def goodness_against_shift_graph(seq, n_points):
     return goodness_violation(seq, ShiftGraph(n_points))
 
 
-@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, full_graph_min_coloring_is_proper,
-                                    goodness_against_shift_graph))
+@pytest.mark.parametrize("kernel", (full_graph_goodness_violation, goodness_against_shift_graph))
 def test_bulk_kernels_check_the_point_count(kernel):
     seq = seq_of([{1}, set()], 1)
     with pytest.raises(SequenceLengthError):
@@ -444,7 +451,6 @@ def test_construct_is_good_and_properly_colors(n, data):
     assert len(seq.entries) == npts
     assert seq.n == n
     assert full_graph_goodness_violation(seq, npts, skip_pair=(v.x, v.y)) is None
-    assert full_graph_min_coloring_is_proper(seq, npts, skip_pair=(v.x, v.y))
 
 
 def test_construct_rejects_non_members():
@@ -570,8 +576,6 @@ INT_ARGUMENTS = {
         seq_of([{1}, set(), set()], 1), 3, skip_pair=(bad, 2)),
     "full_graph_goodness_violation.j": lambda bad: full_graph_goodness_violation(
         seq_of([{1}, set(), set()], 1), 3, skip_pair=(1, bad)),
-    "full_graph_min_coloring_is_proper": lambda bad: full_graph_min_coloring_is_proper(
-        seq_of([{1}, set()], 1), bad),
     "k_colorable_via_sequences.k": lambda bad: sc.k_colorable_via_sequences(
         build_shift_graph(3), bad),
     "k_colorable_bb": lambda bad: sc.k_colorable_bb(build_shift_graph(3), bad),
@@ -581,8 +585,8 @@ INT_ARGUMENTS = {
     "verify_core_chromatic": lambda bad: sc.verify_core_chromatic(bad),
     "verify_uniqueness": lambda bad: sc.verify_uniqueness(bad),
     "verify_chromatic_formula": lambda bad: sc.verify_chromatic_formula(bad),
-    "DiagramSpec.n": lambda bad: sc.render_svg(sc.DiagramSpec(bad)),
-    "DiagramSpec.cell_size": lambda bad: sc.render_svg(sc.DiagramSpec(2, cell_size=bad)),
+    "render_svg.n": lambda bad: sc.render_svg(bad),
+    "render_svg.cell_size": lambda bad: sc.render_svg(2, cell_size=bad),
     "default_cell_size": lambda bad: diagram.default_cell_size(bad),
     "default_palette": lambda bad: sc.default_palette(bad),
     "as_vertex.x": lambda bad: sc.as_vertex((bad, 2)),

@@ -20,7 +20,6 @@ from shiftcrit import (
     chromatic_number,
     critical_core,
     greedy_coloring,
-    induced_subgraph,
     is_good,
     k_colorable_bb,
     k_colorable_via_sequences,
@@ -419,7 +418,7 @@ def small_instances(draw):
 @settings(max_examples=150)
 def test_engines_agree_with_brute_force(case, k):
     g, verts = case
-    sub = induced_subgraph(g, verts)
+    sub = g.induced(verts)
     edges = [(tuple(u), tuple(v)) for u, v in sub.edges()]
     want = brute_k_colorable([tuple(v) for v in verts], edges, k)
     r_seq = k_colorable_via_sequences(sub, k, TIGHT)
@@ -446,7 +445,7 @@ def dense_instances(draw):
 @settings(max_examples=60)
 def test_adjacency_rows_are_the_neighbor_positions(case):
     g, verts = case
-    for view in (g, induced_subgraph(g, verts)):
+    for view in (g, g.induced(verts)):
         adj = dsatur._adjacency(view)
         verts = view.vertex_list()
         assert len(adj) == len(verts)
@@ -459,7 +458,7 @@ def test_adjacency_rows_are_the_neighbor_positions(case):
 @settings(max_examples=80)
 def test_memo_is_invisible_except_in_counts(case, k):
     g, verts = case
-    sub = induced_subgraph(g, verts)
+    sub = g.induced(verts)
     with_memo = k_colorable_via_sequences(sub, k, TIGHT)
     without = capped_memo_run(0, sub, k, TIGHT)
     r_bb = k_colorable_bb(sub, k, TIGHT)
@@ -472,7 +471,7 @@ def test_memo_is_invisible_except_in_counts(case, k):
 @settings(max_examples=60)
 def test_chromatic_number_matches_brute_force(case):
     g, verts = case
-    sub = induced_subgraph(g, verts)
+    sub = g.induced(verts)
     edges = [(tuple(u), tuple(v)) for u, v in sub.edges()]
     want = brute_chromatic([tuple(v) for v in verts], edges)
     res = chromatic_number(sub, TIGHT)
@@ -483,7 +482,7 @@ def test_chromatic_number_matches_brute_force(case):
 @settings(max_examples=60)
 def test_colorability_is_monotone_in_k(case, k):
     g, verts = case
-    sub = induced_subgraph(g, verts)
+    sub = g.induced(verts)
     first = k_colorable_via_sequences(sub, k, TIGHT).decision
     second = k_colorable_via_sequences(sub, k + 1, TIGHT).decision
     assert not (first == "yes" and second == "no")

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 
 from shiftcrit import (
     InvalidParameterError,
     SearchBudget,
+    critical_core,
+    k_colorable_via_sequences,
     verify_chromatic_formula,
     verify_core_chromatic,
     verify_criticality,
@@ -164,11 +167,29 @@ def test_refutation_rows_for_each_search_outcome():
     cut = ColorabilityResult("inconclusive", 3, "bb", 6, 2)
     assert _refutation_row(cut) == ("inconclusive", {"k": 3, "nodes": 6, "prunes": 2,
                                                      "conclusive": False})
+    # a cut-off row carries the search's own record, as a "no" row does
+    cut = k_colorable_via_sequences(critical_core(3), 3, STARVED)
+    assert cut.decision == "inconclusive"
+    assert _refutation_row(cut) == ("inconclusive", cut.refutation_record())
     yes = ColorabilityResult("yes", 1, "sequence", 2, 0,
                              certificate_sequence=SubsetSequence((1, 0), 1))
     assert _refutation_row(yes) == ("fail", None)
     status, payload = _refutation_row(yes, counterexample=True)
     assert status == "fail" and payload is not None
+
+
+def test_serializing_a_report_copies_no_row():
+    # each row is serialized as its own field dict; copying the 7,487 rows
+    # of the n = 7 report into new dicts allocates 1.43 MiB
+    report = verify_criticality(7, members_only=True)
+    tracemalloc.start()
+    try:
+        d = report.to_json_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d["checks"]) == 7487 and d["checks"][0] is vars(report.checks[0])
+    assert peak < 200_000
 
 
 def uniqueness_with_one_bad_member(monkeypatch, budget=None, bad=(2, 4)):
@@ -204,7 +225,7 @@ def test_fail_beats_inconclusive(monkeypatch):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_each_member_certificate_is_checked_once(monkeypatch, n):
-    from shiftcrit import critical_core, sequences
+    from shiftcrit import sequences
 
     calls = []
     real = sequences.full_graph_goodness_violation
