@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import ConstructionError, GoodnessError, require_int
-from .graphs import as_vertex, critical_core
+from .graphs import critical_core
 from .sequences import _MAX_GROUND, SubsetSequence, _masks_descending, goodness_violation
 
 
@@ -36,6 +36,23 @@ def _proper_submasks(mask: int) -> Iterator[int]:
 # saturation
 
 
+def _unsaturated(entries) -> tuple[int, int] | None:
+    """The saturation step rule, from one scan right to left with one growing suffix set.
+
+    Returns (index, subset) for the rightmost entry with a proper subset
+    missing after it, and the largest such subset by (size, value); None
+    when every proper subset of each entry appears later.
+    """
+    suffix: set[int] = set()
+    for idx in range(len(entries) - 1, -1, -1):
+        a = entries[idx]
+        missing = [b for b in _proper_submasks(a) if b not in suffix]
+        if missing:
+            return idx, max(missing, key=lambda b: (b.bit_count(), b))
+        suffix.add(a)
+    return None
+
+
 def saturation_trace(seq: SubsetSequence, view) -> list[SubsetSequence]:
     """All intermediate sequences of the saturation procedure, input first.
 
@@ -49,29 +66,18 @@ def saturation_trace(seq: SubsetSequence, view) -> list[SubsetSequence]:
     viol = goodness_violation(seq, view)
     if viol is not None:
         raise GoodnessError(viol)
-    L = len(seq)
     trace = [seq]
     entries = list(seq.entries)
-    max_steps = seq.n * L + 1
-    for _ in range(max_steps):
-        stepped = False
-        for s in range(L, 0, -1):
-            a_s = entries[s - 1]
-            if a_s == 0:
-                continue
-            suffix = set(entries[s:])
-            missing = [b for b in _proper_submasks(a_s) if b not in suffix]
-            if not missing:
-                continue
-            entries[s - 1] = max(missing, key=lambda b: (b.bit_count(), b))
-            nxt = SubsetSequence(tuple(entries), seq.n)
-            if goodness_violation(nxt, view) is not None:
-                raise ConstructionError("saturation step broke goodness; replacement rule is unsound")
-            trace.append(nxt)
-            stepped = True
-            break
-        if not stepped:
+    for _ in range(seq.n * len(seq) + 1):
+        step = _unsaturated(entries)
+        if step is None:
             return trace
+        idx, b = step
+        entries[idx] = b
+        nxt = SubsetSequence(tuple(entries), seq.n)
+        if goodness_violation(nxt, view) is not None:
+            raise ConstructionError("saturation step broke goodness; replacement rule is unsound")
+        trace.append(nxt)
     raise ConstructionError("saturation exceeded its n*L step bound")
 
 
@@ -82,13 +88,7 @@ def saturate(seq: SubsetSequence, view) -> SubsetSequence:
 
 def is_saturated(seq: SubsetSequence) -> bool:
     """True when every proper subset of each entry appears later in the sequence."""
-    suffix: set[int] = set()
-    for pos in range(len(seq), 0, -1):
-        a = seq.entries[pos - 1]
-        if any(b not in suffix for b in _proper_submasks(a)):
-            return False
-        suffix.add(a)
-    return True
+    return _unsaturated(seq.entries) is None
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +139,7 @@ def construct_deleted_vertex_sequence(n: int, v) -> SubsetSequence:
     The result is not checked here: the member rows of `verify` check
     it once, with `full_graph_min_coloring_is_proper`.
     """
-    core = critical_core(n)
-    v = as_vertex(v)
-    r = core.least_interval_index(v)
+    r = critical_core(n).least_interval_index(v)  # checks that v is a member
     base = (1 << (n - r)) - 1
     i, j = v
     length = 2 ** n + 1

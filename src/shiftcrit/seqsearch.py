@@ -92,8 +92,8 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
         for m in cands:
             if not clock.tick():
                 return "inconclusive", None, len(memo)
-            fresh = m & ~used
-            if fresh and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length():
+            u = used | m
+            if u & (u + 1):  # the colors in use would stop being a prefix
                 clock.prunes += 1
                 continue
             if not state >> top + m & 1:
@@ -108,9 +108,9 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
                 entries[p] = m
                 if bi + 1 == n_branch:
                     return "yes", tuple(entries[1:]), len(memo)
-                child = new * (colors + 1) + (used | m).bit_length()
+                child = new * (colors + 1) + u.bit_length()
                 if child not in memo:
-                    frames.append((child, iter(masks_desc), used | m, new))
+                    frames.append((child, iter(masks_desc), u, new))
                     break  # descend; `cands` resumes here once the child is popped
             clock.prunes += 1  # a wipe-out or a memo hit
         else:

@@ -136,9 +136,6 @@ class VertexColoring:
         except KeyError:
             raise InvalidVertexError(f"{v} has no color") from None
 
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(sorted(self.colors))
-
 
 def goodness_violation(seq: SubsetSequence, view):
     """Lexicographically least vertex (i, j) of a graph view with a_i contained in a_j, or None.

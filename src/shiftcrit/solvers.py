@@ -101,10 +101,13 @@ class ChromaticResult:
     """Exact chromatic number with certificates, or an inconclusive marker."""
 
     chi: int | None
-    conclusive: bool
-    coloring: VertexColoring | None
-    refutation: dict | None
+    coloring: VertexColoring | None = None
+    refutation: dict | None = None
     queries: list = field(default_factory=list)
+
+    @property
+    def conclusive(self) -> bool:
+        return self.chi is not None
 
     def to_json_dict(self) -> dict:
         """JSON-ready data that shares the result's own `refutation` and `queries`."""
@@ -238,12 +241,11 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
         budget = SearchBudget()
     m = view.vertex_count()
     if m == 0:
-        return ChromaticResult(0, True, VertexColoring({}, 0), None, [])
+        return ChromaticResult(0, VertexColoring({}, 0))
 
     greedy = greedy_coloring(view, budget)
     if greedy is None:
-        return ChromaticResult(None, False, None, None,
-                               [{"stage": "greedy", "decision": "inconclusive"}])
+        return ChromaticResult(None, queries=[{"stage": "greedy", "decision": "inconclusive"}])
     ub = greedy.k
     lb = min(ub, 3)
     queries: list[dict] = []
@@ -265,7 +267,7 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
         mid = (lb + ub) // 2
         d = query(mid)
         if d == "inconclusive":
-            return ChromaticResult(None, False, None, None, queries)
+            return ChromaticResult(None, queries=queries)
         if d == "yes":
             ub = mid
         else:
@@ -276,7 +278,7 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
         if k not in decided:
             d = query(k)
             if d == "inconclusive":
-                return ChromaticResult(None, False, None, None, queries)
+                return ChromaticResult(None, queries=queries)
             if d != want:
                 raise ConstructionError(f"binary search settled chi={chi} but {k} colors "
                                         f"are answered {d!r}")
@@ -284,4 +286,4 @@ def chromatic_number(view, budget: SearchBudget | None = None) -> ChromaticResul
     coloring = decided[chi].certificate_coloring
     if proper_coloring_violation(coloring, view) is not None:
         raise ConstructionError("final coloring certificate is improper")
-    return ChromaticResult(chi, True, coloring, decided[chi - 1].refutation_record(), queries)
+    return ChromaticResult(chi, coloring, decided[chi - 1].refutation_record(), queries)

@@ -358,7 +358,7 @@ def verify_chromatic_formula(n_max: int, budget: SearchBudget | None = None) -> 
 
     if len(chis) == exact_hi - 1 and exact_hi >= 3:
         steps_ok = all(
-            (chis[N] - chis[N - 1] == 1) == (N >= 3 and (N - 1) & (N - 2) == 0)
+            (chis[N] - chis[N - 1] == 1) == ((N - 1) & (N - 2) == 0)
             and chis[N] - chis[N - 1] in (0, 1)
             for N in range(3, exact_hi + 1))
         report.add(f"within [2, {exact_hi}] the chromatic number steps exactly at N = 2^v + 1",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import partial
 from itertools import combinations
@@ -291,6 +292,8 @@ def test_coloring_extraction_small():
     assert col.color_of(Vertex(2, 3)) == 2
     assert col.color_of(Vertex(3, 4)) == 1
     assert proper_coloring_violation(col, g) is None
+    with pytest.raises(InvalidVertexError, match=r"\(4,5\) has no color"):
+        col.color_of(Vertex(4, 5))
 
 
 def test_extraction_rejects_bad_sequence():
@@ -407,6 +410,34 @@ def test_saturation_preserves_goodness_and_terminates(case):
     final = trace[-1]
     assert is_saturated(final)
     assert saturate(final, X) == final
+
+
+@given(x_good_instances())
+def test_saturated_exactly_when_saturation_takes_no_step(case):
+    seq, X = case
+    assert is_saturated(seq) == (len(saturation_trace(seq, X)) == 1)
+
+
+def seeded_x_good_instances(count, seed, max_n=5, max_len=20):
+    """`count` random good instances from one seed: a sequence, and a random
+    half of the pairs (i, j) on which a_i is not contained in a_j."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        length = rng.randint(1, max_len)
+        entries = tuple(rng.randrange(1 << n) for _ in range(length))
+        pairs = [(i, j) for i, j in all_pairs(length)
+                 if entries[i - 1] & ~entries[j - 1] and rng.random() < 0.5]
+        yield SubsetSequence(entries, n), pair_view(pairs, length)
+
+
+def test_saturation_traces_match_their_recorded_digest():
+    # pins which position and which subset each of the 2,558 steps picks;
+    # recorded with the step rule's earlier two-scan implementation
+    h = hashlib.sha256()
+    for seq, X in seeded_x_good_instances(500, seed=26):
+        h.update(repr((seq.n, [s.entries for s in saturation_trace(seq, X)])).encode())
+    assert h.hexdigest() == "46fdc97db5803e5b3f8da9a3bb941c614118e362dc2568f68d3288d78ffab182"
 
 
 @given(x_good_instances(max_n=3, max_len=8))
@@ -536,10 +567,18 @@ def test_sequence_json_shape():
     (partial(VertexColoring, {(1, 2): 1}), True, "color count"),
     (partial(VertexColoring, {(1, 2): True}), 1, "color True"),
     (partial(mask_of, [True]), 3, "element True"),
+    # documents that lack a key, or are not objects at all
+    (sequence_from_dict, {"entries": [[1]]}, "keys 'n' and 'entries'"),
+    (sequence_from_dict, {"n": 1}, "keys 'n' and 'entries'"),
+    (sequence_from_dict, [1, [[1]]], "keys 'n' and 'entries'"),
+    (coloring_from_dict, {"colors": []}, "keys 'k' and 'colors'"),
+    (coloring_from_dict, {"k": 1}, "keys 'k' and 'colors'"),
+    (coloring_from_dict, {"k": 1, "colors": [[1, 2, 1]]}, r"bad coloring row: \[1, 2, 1\]"),
 ], ids=["entries-int", "entry-int", "entry-none", "colors-int", "duplicate-row",
         "n-bool", "element-bool", "k-bool", "x-bool", "y-bool", "c-bool",
         "sequence-n-bool", "sequence-entry-bool", "coloring-k-bool", "coloring-color-bool",
-        "mask-element-bool"])
+        "mask-element-bool", "sequence-no-n", "sequence-no-entries", "sequence-not-object",
+        "coloring-no-k", "coloring-no-colors", "row-not-object"])
 def test_readers_reject_malformed_documents(read, doc, match):
     with pytest.raises(InvalidParameterError, match=match):
         read(doc)
