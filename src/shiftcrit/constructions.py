@@ -1,11 +1,11 @@
 """Sequences built rather than searched: saturation and the explicit constructions.
 
-Saturation pushes a good sequence toward a canonical form in which every
-proper subset of each entry reappears later.  The constructions give a
-sequence witnessing that deleting any single critical-core vertex makes
-the graph n-colorable, and the descending enumeration of all subsets,
-which witnesses the general chromatic upper bound.  Sequences and views
-are those of `sequences`.
+Saturation pushes a good sequence, in one right-to-left sweep, toward a
+canonical form in which every proper subset of each entry reappears
+later.  The constructions give a sequence witnessing that deleting any
+single critical-core vertex makes the graph n-colorable, and the
+descending enumeration of all subsets, which witnesses the general
+chromatic upper bound.  Sequences and views are those of `sequences`.
 
 The constructions only build; the verify rows check each deleted-vertex
 sequence once.  No search reads this module, so `chi` never loads it.
@@ -36,21 +36,21 @@ def _proper_submasks(mask: int) -> Iterator[int]:
 # saturation
 
 
-def _unsaturated(entries) -> tuple[int, int] | None:
-    """The saturation step rule, from one scan right to left with one growing suffix set.
+def _steps(entries) -> Iterator[tuple[int, int]]:
+    """The saturation steps of `entries` in order, as (index, new entry); reads only.
 
-    Returns (index, subset) for the rightmost entry with a proper subset
-    missing after it, and the largest such subset by (size, value); None
-    when every proper subset of each entry appears later.
+    One sweep right to left with one growing suffix set: each entry is
+    rewritten until no proper subset of it is missing after it, then
+    joins the set.  A step changes only its own entry, so the entries
+    after it stay saturated and the next step is never to its right.
     """
     suffix: set[int] = set()
     for idx in range(len(entries) - 1, -1, -1):
         a = entries[idx]
-        missing = [b for b in _proper_submasks(a) if b not in suffix]
-        if missing:
-            return idx, max(missing, key=lambda b: (b.bit_count(), b))
+        while missing := [b for b in _proper_submasks(a) if b not in suffix]:
+            a = max(missing, key=lambda b: (b.bit_count(), b))
+            yield idx, a
         suffix.add(a)
-    return None
 
 
 def saturation_trace(seq: SubsetSequence, view) -> list[SubsetSequence]:
@@ -60,25 +60,21 @@ def saturation_trace(seq: SubsetSequence, view) -> list[SubsetSequence]:
     subset not appearing anywhere after s, and replace that entry by
     the missing proper subset of maximum cardinality, ties broken by
     largest mask value.  Stops when no position qualifies.  Each step
-    strictly shrinks one entry, preserves goodness on the graph view,
-    and the whole run takes at most n * L steps.
+    strictly shrinks one entry, so the run ends, and preserves goodness
+    on the graph view, which is re-checked after every step.
     """
     viol = goodness_violation(seq, view)
     if viol is not None:
         raise GoodnessError(viol)
     trace = [seq]
     entries = list(seq.entries)
-    for _ in range(seq.n * len(seq) + 1):
-        step = _unsaturated(entries)
-        if step is None:
-            return trace
-        idx, b = step
+    for idx, b in _steps(seq.entries):
         entries[idx] = b
         nxt = SubsetSequence(tuple(entries), seq.n)
         if goodness_violation(nxt, view) is not None:
             raise ConstructionError("saturation step broke goodness; replacement rule is unsound")
         trace.append(nxt)
-    raise ConstructionError("saturation exceeded its n*L step bound")
+    return trace
 
 
 def saturate(seq: SubsetSequence, view) -> SubsetSequence:
@@ -88,7 +84,7 @@ def saturate(seq: SubsetSequence, view) -> SubsetSequence:
 
 def is_saturated(seq: SubsetSequence) -> bool:
     """True when every proper subset of each entry appears later in the sequence."""
-    return _unsaturated(seq.entries) is None
+    return next(_steps(seq.entries), None) is None
 
 
 # ---------------------------------------------------------------------------

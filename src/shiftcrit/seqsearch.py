@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .sequences import _masks_descending
 
-_MEMO_CAP = 1 << 20  # failure-memo entries; at the cap lookups go on, inserts stop
+_MEMO_BITS = 1 << 30  # failure-memo cap in summed key bit lengths; inserts stop there
 
 
 def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ...] | None, int]:
@@ -52,8 +52,9 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
     bi, and the failure memo keys a branch point by its state and the
     first-use color count alone.  The key is sound because with forward
     checking `entries` is read only to build the final certificate.  A
-    memo hit counts as a prune and costs no node; at _MEMO_CAP entries
-    the memo stops growing but is still consulted.
+    memo hit counts as a prune and costs no node.  Once its keys sum to
+    _MEMO_BITS bits the memo stops growing but is still consulted, so
+    its memory is bounded whatever the width of a key.
 
     Each branch index has one frame on an explicit stack, so the depth
     is not bounded by the interpreter's recursion limit: its memo key,
@@ -80,6 +81,7 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
     masks_desc = list(_masks_descending(colors))
     entries = [0] * (n_points + 1)
     memo: set[int] = set()
+    memo_bits = 0
     full = (1 << n_branch * n_masks) - 1
     # `used` is always a prefix [1, t] by the first-use canonicalization:
     # a candidate may only bring in the next colors.  The root's key is the
@@ -115,7 +117,8 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
             clock.prunes += 1  # a wipe-out or a memo hit
         else:
             # every candidate at bi failed: its subtree is exhausted
-            if len(memo) < _MEMO_CAP:
+            if memo_bits < _MEMO_BITS:
                 memo.add(key)
+                memo_bits += key.bit_length()
             frames.pop()
     return "no", None, len(memo)

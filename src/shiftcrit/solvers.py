@@ -78,7 +78,7 @@ class ColorabilityResult:
     prunes: int
     certificate_sequence: SubsetSequence | None = None
     certificate_coloring: VertexColoring | None = None
-    memo_entries: int = 0  # failure-memo size at the end; seqsearch._MEMO_CAP when capped
+    memo_entries: int = 0  # failure-memo size at the end, bounded by seqsearch._MEMO_BITS
 
     @property
     def conclusive(self) -> bool:

@@ -69,6 +69,24 @@ def brute_min_coloring_is_proper(entries, n_points, skip=None):
     return True
 
 
+def brute_saturation_trace(entries):
+    # entries are masks; every step recomputes, for every position, the proper
+    # subsets missing after it, then rewrites the rightmost such position to
+    # its largest missing subset by (size, value)
+    trace = [tuple(entries)]
+    while True:
+        cur = trace[-1]
+        steps = []
+        for s, a in enumerate(cur):
+            missing = [b for b in range(a) if b & a == b and b not in cur[s + 1:]]
+            if missing:
+                steps.append((s, max(missing, key=lambda b: (bin(b).count("1"), b))))
+        if not steps:
+            return trace
+        s, b = steps[-1]
+        trace.append(cur[:s] + (b,) + cur[s + 1:])
+
+
 def brute_is_proper(colors, edges):
     return all(colors[u] != colors[v] for u, v in edges)
 

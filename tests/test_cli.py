@@ -15,6 +15,7 @@ import pytest
 
 from shiftcrit import cli, verify
 from shiftcrit.cli import main
+from shiftcrit.diagram import render_svg
 from shiftcrit.export import core_to_json_dict, graph_to_json_dict
 from shiftcrit.graphs import build_shift_graph, critical_core
 from shiftcrit.solvers import chromatic_number
@@ -171,6 +172,17 @@ def test_diagram_writes_svg(capsys, tmp_path):
     cells = [r for r in root.iter("{http://www.w3.org/2000/svg}rect")
              if r.get("class") == "cell"]
     assert len(cells) == 19
+
+
+def test_diagram_passes_cell_size_and_no_hyperbola_through(capsys, tmp_path):
+    expected = render_svg(3, 20, hyperbola=False)
+    assert expected not in (render_svg(3, 20), render_svg(3, hyperbola=False))  # each flag shows
+    code, out, _ = run(capsys, "diagram", "3", "--cell-size", "20", "--no-hyperbola")
+    assert code == 0 and out == expected
+    target = tmp_path / "core.svg"
+    code, out, _ = run(capsys, "diagram", "3", "--cell-size", "20", "--no-hyperbola",
+                       "--out", str(target))
+    assert code == 0 and out == "" and target.read_text() == expected
 
 
 def test_diagram_out_of_range(capsys):

@@ -58,6 +58,29 @@ def test_chi_loads_no_verify_and_no_diagram():
                          "shiftcrit.constructions", "numpy"}
 
 
+CHI_MODULE_NODES = 2_000  # largest AST a module on chi's path may have
+
+
+def ast_nodes(source: str) -> int:
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+def test_modules_chi_loads_stay_under_the_node_limit():
+    # without cached bytecode each module is compiled when it loads, at
+    # about 0.4 KB of peak memory per AST node
+    loaded = [m for m in json.loads(fresh_python(LOADED_AFTER, "chi", "5"))
+              if m.split(".")[0] == "shiftcrit"]
+    assert "shiftcrit.solvers" in loaded
+    too_big = {}
+    for name in loaded:
+        path = ROOT / "src" / Path(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        nodes = ast_nodes(path.read_text())
+        if nodes > CHI_MODULE_NODES:
+            too_big[name] = nodes
+    assert too_big == {}
+
+
 @pytest.mark.parametrize("argv", (("verify", "1", "--n", "2"), ("verify", "2", "--n", "2"),
                                   ("verify", "3", "--n", "2"), ("verify", "formula", "--n", "9")),
                          ids=" ".join)

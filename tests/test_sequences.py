@@ -52,6 +52,7 @@ from oracles import (
     brute_least_violation,
     brute_min_coloring,
     brute_min_coloring_is_proper,
+    brute_saturation_trace,
 )
 
 
@@ -416,6 +417,12 @@ def test_saturation_preserves_goodness_and_terminates(case):
 def test_saturated_exactly_when_saturation_takes_no_step(case):
     seq, X = case
     assert is_saturated(seq) == (len(saturation_trace(seq, X)) == 1)
+
+
+@given(x_good_instances(max_n=5, max_len=12))
+def test_saturation_trace_matches_the_brute_oracle(case):
+    seq, X = case
+    assert [s.entries for s in saturation_trace(seq, X)] == brute_saturation_trace(seq.entries)
 
 
 def seeded_x_good_instances(count, seed, max_n=5, max_len=20):

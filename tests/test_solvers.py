@@ -31,10 +31,39 @@ from oracles import brute_chromatic, brute_is_bipartite, brute_k_colorable, gree
 TIGHT = SearchBudget(max_nodes=2_000_000, max_seconds=60.0)
 
 
-def capped_memo_run(cap, *args, **kwargs):
+def capped_memo_run(bits, *args, **kwargs):
+    """The sequence engine with its failure memo capped at `bits` summed key bits."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqsearch, "_MEMO_CAP", cap)
+        mp.setattr(seqsearch, "_MEMO_BITS", bits)
         return k_colorable_via_sequences(*args, **kwargs)
+
+
+class InsertLog(set):
+    """A set that also lists its inserts in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserts = []
+
+    def add(self, key):
+        self.inserts.append(key)
+        super().add(key)
+
+
+def logged_memo_run(bits, *args):
+    """capped_memo_run, plus the keys the engine inserted into its memo, in order."""
+    logs = []
+
+    def new_memo():
+        logs.append(InsertLog())
+        return logs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        # the memo is the one set the search builds with set()
+        mp.setattr(seqsearch, "set", new_memo, raising=False)
+        result = capped_memo_run(bits, *args)
+    (log,) = logs
+    return result, log.inserts
 
 
 def test_budget_validation():
@@ -334,14 +363,18 @@ def test_memo_keeps_yes_certificate_and_cuts_nodes():
 
 
 def test_memo_at_cap_keeps_refuting():
-    # W(4) needs 4,353 entries; at a 3 k cap inserts stop, lookups go on
+    # W(4) stores 4,353 keys; capped at the bits of its first 3,000 the
+    # engine makes those same inserts and no more, and lookups go on
     core4 = critical_core(4)
     budget = SearchBudget(max_nodes=2_000_000, max_seconds=60)
-    full = k_colorable_via_sequences(core4, 4, budget)
-    capped = capped_memo_run(3000, core4, 4, budget)
+    full, full_keys = logged_memo_run(seqsearch._MEMO_BITS, core4, 4, budget)
+    cap = sum(key.bit_length() for key in full_keys[:3000])
+    capped, capped_keys = logged_memo_run(cap, core4, 4, budget)
     assert full.decision == capped.decision == "no"
-    assert full.nodes < capped.nodes
+    assert full.memo_entries == len(full_keys) == 4353
+    assert capped_keys == full_keys[:3000]
     assert capped.memo_entries == 3000
+    assert full.nodes < capped.nodes
 
 
 def test_sequence_engine_colors_every_core_deletion():
