@@ -24,9 +24,11 @@ arguments, passes its clock in and checks the certificate.
 """
 from __future__ import annotations
 
+from sys import getsizeof
+
 from .sequences import _masks_descending
 
-_MEMO_BITS = 1 << 30  # failure-memo cap in summed key bit lengths; inserts stop there
+_MEMO_BYTES = 120 << 20  # failure-memo cap: its set table plus its keys; inserts stop there
 
 
 def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ...] | None, int]:
@@ -52,9 +54,10 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
     bi, and the failure memo keys a branch point by its state and the
     first-use color count alone.  The key is sound because with forward
     checking `entries` is read only to build the final certificate.  A
-    memo hit counts as a prune and costs no node.  Once its keys sum to
-    _MEMO_BITS bits the memo stops growing but is still consulted, so
-    its memory is bounded whatever the width of a key.
+    memo hit counts as a prune and costs no node.  Once the set's table
+    and its keys take _MEMO_BYTES by `getsizeof` the memo stops growing
+    but is still consulted.  The check precedes each insert, so the last
+    insert can overshoot the cap by one key and one doubling of the table.
 
     Each branch index has one frame on an explicit stack, so the depth
     is not bounded by the interpreter's recursion limit: its memo key,
@@ -81,7 +84,7 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
     masks_desc = list(_masks_descending(colors))
     entries = [0] * (n_points + 1)
     memo: set[int] = set()
-    memo_bits = 0
+    key_bytes = 0
     full = (1 << n_branch * n_masks) - 1
     # `used` is always a prefix [1, t] by the first-use canonicalization:
     # a candidate may only bring in the next colors.  The root's key is the
@@ -117,8 +120,8 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
             clock.prunes += 1  # a wipe-out or a memo hit
         else:
             # every candidate at bi failed: its subtree is exhausted
-            if memo_bits < _MEMO_BITS:
+            if key_bytes + getsizeof(memo) < _MEMO_BYTES:
                 memo.add(key)
-                memo_bits += key.bit_length()
+                key_bytes += getsizeof(key)
             frames.pop()
     return "no", None, len(memo)

@@ -78,7 +78,7 @@ class ColorabilityResult:
     prunes: int
     certificate_sequence: SubsetSequence | None = None
     certificate_coloring: VertexColoring | None = None
-    memo_entries: int = 0  # failure-memo size at the end, bounded by seqsearch._MEMO_BITS
+    memo_entries: int = 0  # failure-memo size at the end, bounded by seqsearch._MEMO_BYTES
 
     @property
     def conclusive(self) -> bool:

@@ -31,10 +31,10 @@ from oracles import brute_chromatic, brute_is_bipartite, brute_k_colorable, gree
 TIGHT = SearchBudget(max_nodes=2_000_000, max_seconds=60.0)
 
 
-def capped_memo_run(bits, *args, **kwargs):
-    """The sequence engine with its failure memo capped at `bits` summed key bits."""
+def capped_memo_run(cap, *args, **kwargs):
+    """The sequence engine with its failure memo capped at `cap` bytes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqsearch, "_MEMO_BITS", bits)
+        mp.setattr(seqsearch, "_MEMO_BYTES", cap)
         return k_colorable_via_sequences(*args, **kwargs)
 
 
@@ -50,7 +50,7 @@ class InsertLog(set):
         super().add(key)
 
 
-def logged_memo_run(bits, *args):
+def logged_memo_run(cap, *args):
     """capped_memo_run, plus the keys the engine inserted into its memo, in order."""
     logs = []
 
@@ -61,7 +61,7 @@ def logged_memo_run(bits, *args):
     with pytest.MonkeyPatch.context() as mp:
         # the memo is the one set the search builds with set()
         mp.setattr(seqsearch, "set", new_memo, raising=False)
-        result = capped_memo_run(bits, *args)
+        result = capped_memo_run(cap, *args)
     (log,) = logs
     return result, log.inserts
 
@@ -363,12 +363,16 @@ def test_memo_keeps_yes_certificate_and_cuts_nodes():
 
 
 def test_memo_at_cap_keeps_refuting():
-    # W(4) stores 4,353 keys; capped at the bits of its first 3,000 the
-    # engine makes those same inserts and no more, and lookups go on
+    # W(4) stores 4,353 keys; capped at the bytes of its first 3,000 and
+    # of a set holding them, the engine makes those same inserts and no
+    # more, and lookups go on
     core4 = critical_core(4)
     budget = SearchBudget(max_nodes=2_000_000, max_seconds=60)
-    full, full_keys = logged_memo_run(seqsearch._MEMO_BITS, core4, 4, budget)
-    cap = sum(key.bit_length() for key in full_keys[:3000])
+    full, full_keys = logged_memo_run(seqsearch._MEMO_BYTES, core4, 4, budget)
+    first = InsertLog()
+    for key in full_keys[:3000]:
+        first.add(key)
+    cap = sys.getsizeof(first) + sum(map(sys.getsizeof, first))
     capped, capped_keys = logged_memo_run(cap, core4, 4, budget)
     assert full.decision == capped.decision == "no"
     assert full.memo_entries == len(full_keys) == 4353
