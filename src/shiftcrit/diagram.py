@@ -38,19 +38,6 @@ def _fmt(value: float) -> str:
     return s if s else "0"
 
 
-def _region_path(lo: int, hi: int, k: int, mx, my) -> str:
-    # staircase boundary of the boxes {(x, y): lo <= x < y <= hi},
-    # in plot coordinates with Y upward; conversion flips Y for SVG
-    points = [(lo, k + 1 - hi), (hi, k + 1 - hi)]
-    for y in range(hi, lo, -1):
-        points.append((y, k + 2 - y))
-        points.append((y - 1, k + 2 - y))
-    parts = [f"M {_fmt(mx(points[0][0]))} {_fmt(my(points[0][1]))}"]
-    parts += [f"L {_fmt(mx(X))} {_fmt(my(Y))}" for X, Y in points[1:]]
-    parts.append("Z")
-    return " ".join(parts)
-
-
 def render_svg(n: int, cell_size: int = 0, hyperbola: bool = True) -> str:
     """Render the core diagram for n as a standalone SVG document.
 
@@ -63,77 +50,61 @@ def render_svg(n: int, cell_size: int = 0, hyperbola: bool = True) -> str:
     cs = require_int(cell_size, "cell_size", 0) or default_cell_size(n)
     palette = default_palette(n + 1)
 
-    pad_left = 2 * cs
-    pad_top = cs // 2 + 1
-    pad_right = cs // 2 + 1
-    pad_bottom = 3 * cs // 2 + 2
-    width = pad_left + (k - 1) * cs + pad_right
-    height = pad_top + (k - 1) * cs + pad_bottom
+    pad_left, pad_top = 2 * cs, cs // 2 + 1
+    width = pad_left + (k - 1) * cs + cs // 2 + 1
+    height = pad_top + (k - 1) * cs + 3 * cs // 2 + 2
 
-    def mx(X: float) -> float:
-        return pad_left + (X - 1) * cs
+    def pt(X: float, Y: float) -> tuple[str, str]:
+        # plot point (X, Y), Y upward, as formatted SVG coordinates
+        return _fmt(pad_left + (X - 1) * cs), _fmt(pad_top + (k - Y) * cs)
 
-    def my(Y: float) -> float:
-        return pad_top + (k - Y) * cs
+    def path(points) -> str:
+        return "M " + " L ".join(" ".join(pt(X, Y)) for X, Y in points)
 
-    font = max(6, round(cs * 0.38))
+    def line(X1: float, Y1: float, X2: float, Y2: float) -> str:
+        return '<line x1="{}" y1="{}" x2="{}" y2="{}"/>'.format(*pt(X1, Y1), *pt(X2, Y2))
+
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-           f'width="{width}" height="{height}">']
-
-    out.append('<g class="regions">')
-    for ell, iv in enumerate(core.intervals):
-        corner_x, corner_y = 1 << ell, 1 << (n - ell)
-        d = _region_path(iv.lo, iv.hi, k, mx, my)
-        out.append(f'<g class="region" data-interval="{ell}" '
-                   f'data-corner-x="{corner_x}" data-corner-y="{corner_y}" '
-                   f'style="mix-blend-mode:multiply">')
-        out.append(f'<path d="{d}" fill="{palette[ell]}" fill-opacity="0.7"/>')
-        out.append('</g>')
+           f'width="{width}" height="{height}">', '<g class="regions">']
+    for ell, (lo, hi) in enumerate(core.intervals):
+        # staircase boundary of the boxes {(x, y): lo <= x < y <= hi}
+        corners = [(lo, k + 1 - hi), (hi, k + 1 - hi)]
+        corners += [(x, k + 2 - y) for y in range(hi, lo, -1) for x in (y, y - 1)]
+        out += [f'<g class="region" data-interval="{ell}" data-corner-x="{1 << ell}" '
+                f'data-corner-y="{1 << (n - ell)}" style="mix-blend-mode:multiply">',
+                f'<path d="{path(corners)} Z" fill="{palette[ell]}" fill-opacity="0.7"/>',
+                '</g>']
     out.append('</g>')
 
-    grid = [f'<g class="grid" stroke="#cccccc" stroke-width="1" fill="none">']
+    out.append('<g class="grid" stroke="#cccccc" stroke-width="1" fill="none">')
     for i in range(2, k + 1):
-        # horizontal line at plot height i, vertical line at plot x = i;
-        # both stop at the x < y staircase boundary
-        grid.append(f'<line x1="{_fmt(mx(1))}" y1="{_fmt(my(i))}" '
-                    f'x2="{_fmt(mx(k - i + 2))}" y2="{_fmt(my(i))}"/>')
-        grid.append(f'<line x1="{_fmt(mx(i))}" y1="{_fmt(my(k - i + 2))}" '
-                    f'x2="{_fmt(mx(i))}" y2="{_fmt(my(1))}"/>')
-    grid.append(f'<line x1="{_fmt(mx(1))}" y1="{_fmt(my(1))}" '
-                f'x2="{_fmt(mx(k))}" y2="{_fmt(my(1))}"/>')
-    grid.append(f'<line x1="{_fmt(mx(1))}" y1="{_fmt(my(k))}" '
-                f'x2="{_fmt(mx(1))}" y2="{_fmt(my(1))}"/>')
-    grid.append('</g>')
-    out += grid
+        # plot height i and plot x = i, each stopped at the x < y staircase
+        out += [line(1, i, k - i + 2, i), line(i, k - i + 2, i, 1)]
+    out += [line(1, 1, k, 1), line(1, k, 1, 1), '</g>']
 
     out.append('<g class="cells" fill="none" stroke="#787878" stroke-width="1">')
     for v in core.vertices():
+        x, y = pt(v.x, k - v.y + 2)
         out.append(f'<rect class="cell" data-x="{v.x}" data-y="{v.y}" '
-                   f'x="{_fmt(mx(v.x))}" y="{_fmt(my(k - v.y + 2))}" '
-                   f'width="{cs}" height="{cs}"/>')
+                   f'x="{x}" y="{y}" width="{cs}" height="{cs}"/>')
     out.append('</g>')
 
-    out.append(f'<g class="labels" font-family="sans-serif" font-size="{font}" '
-               f'fill="#333333">')
+    out.append(f'<g class="labels" font-family="sans-serif" '
+               f'font-size="{max(6, round(cs * 0.38))}" fill="#333333">')
     for i in range(1, k):
-        out.append(f'<text x="{_fmt(mx(i + 0.5))}" y="{_fmt(my(0.25))}" '
-                   f'text-anchor="middle">{i}</text>')
+        x, y = pt(i + 0.5, 0.25)
+        out.append(f'<text x="{x}" y="{y}" text-anchor="middle">{i}</text>')
     for i in range(2, k + 1):
-        out.append(f'<text x="{_fmt(mx(0.75))}" y="{_fmt(my(k - i + 1.4))}" '
-                   f'text-anchor="end">{i}</text>')
+        x, y = pt(0.75, k - i + 1.4)
+        out.append(f'<text x="{x}" y="{y}" text-anchor="end">{i}</text>')
     out.append('</g>')
 
     if hyperbola:
-        # log-spaced samples so every region corner X = 2^l is hit exactly
-        steps = 16 * n
-        pts = []
-        for i in range(steps + 1):
-            X = 2 ** (n * i / steps)
-            pts.append((mx(X), my((1 << n) / X)))
-        d = "M " + " L ".join(f"{_fmt(X)} {_fmt(Y)}" for X, Y in pts)
-        out.append(f'<path class="hyperbola" d="{d}" fill="none" stroke="#d22222" '
-                   f'stroke-width="{max(2, cs // 8)}" stroke-linecap="round" '
-                   f'stroke-dasharray="0.1 {max(4, cs // 4)}"/>')
+        # 16 log-spaced samples per doubling hit every region corner X = 2^l
+        Xs = [2 ** (i / 16) for i in range(16 * n + 1)]
+        out.append(f'<path class="hyperbola" d="{path((X, (1 << n) / X) for X in Xs)}" '
+                   f'fill="none" stroke="#d22222" stroke-width="{max(2, cs // 8)}" '
+                   f'stroke-linecap="round" stroke-dasharray="0.1 {max(4, cs // 4)}"/>')
 
     out.append('</svg>')
     return "\n".join(out) + "\n"

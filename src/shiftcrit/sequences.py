@@ -147,7 +147,8 @@ def goodness_violation(seq: SubsetSequence, view):
         # 1,025) took 160 s against its 60 s bound
         return full_graph_goodness_violation(seq, view.n_points)
     verts = as_view(view).vertex_list()
-    worst = max((j for _, j in verts), default=0)
+    # every j is at most n_points, so only a shorter sequence needs the walk
+    worst = max((j for _, j in verts), default=0) if len(seq) < view.n_points else 0
     if worst > len(seq):
         raise SequenceLengthError(
             f"constraints reach ground index {worst} but the sequence has length {len(seq)}")

@@ -408,6 +408,9 @@ GOLDEN_OUT_SHA256 = {
         "fa1662de02ff58707d9627a780e61b47c1b49ec5cc6f6753b9293f18e8c9011e",
     ("verify", "3", "--n", "3"):
         "c51472272efc8adb18ab68f7b6207834e5afbc5de123c563a588f4b9ea59151e",
+    # the export workload's SVG
+    ("diagram", "6"):
+        "189486d906332e02c89800586f3ce96ea2495a80b217652a16cd9eea3f1ec5d5",
 }
 
 

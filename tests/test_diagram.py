@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -90,6 +91,17 @@ def test_axis_labels_match_orientation():
 
 def test_deterministic_bytes():
     assert render_svg(4) == render_svg(4)
+
+
+def test_svg_bytes_match_their_recorded_digest():
+    # pins every coordinate, path and element over the whole n range, the
+    # default and two explicit cell sizes, with and without the hyperbola
+    h = hashlib.sha256()
+    for n in range(2, 9):
+        for cs in (0, 7, 20):
+            for hyperbola in (True, False):
+                h.update(render_svg(n, cs, hyperbola=hyperbola).encode())
+    assert h.hexdigest() == "defd8a7425dac80a8bbec32d5024fc040c1bacf61999063bb82540cc7ce7088b"
 
 
 def test_rejects_out_of_range():

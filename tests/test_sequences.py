@@ -78,6 +78,7 @@ def test_mask_helpers():
     assert smallest_element(0b100) == 3
     assert format_mask(0b110) == "{2,3}"
     assert format_mask(0) == "{}"
+    assert str(SubsetSequence((3, 0, 4), 3)) == "({1,2},{},{3})"
 
 
 @given(st.sets(st.integers(1, 10)))
@@ -381,6 +382,12 @@ def test_saturation_worked_example():
     assert saturation_trace(seq, pair_view(all_pairs(3), 3)) == trace
     assert is_saturated(trace[-1])
     assert not is_saturated(seq)
+
+
+def test_saturation_refuses_a_sequence_that_is_not_good():
+    with pytest.raises(GoodnessError) as exc:
+        saturation_trace(seq_of([{1}, {1}], 1), build_shift_graph(2))
+    assert exc.value.pair == (1, 2)
 
 
 def test_saturation_fixed_point():
