@@ -9,14 +9,13 @@ explicit stack rather than by recursion.  Its whole search state is one
 int: the feasible-mask bitsets of the remaining branch positions side by
 side.
 
-It also keeps a failure memo (nogood recording, Dechter 1990): a branch
-point's key is state * (colors + 1) + the number of colors introduced so
-far, where the state is the one int above.  Its bit length fixes the
-branch index, which is no digit of the key.  Everything the rest of the
-search reads is a function of the key, so a key whose subtree was
-exhausted once is skipped when it recurs.  Only exhausted subtrees are
-recorded, never budget cut-offs, and the search order is unchanged, so
-certificates are identical with and without the memo.
+It also keeps a failure memo (nogood recording, Dechter 1990) keyed by
+that state alone: with colors [1, t] in use, every field is all masks
+minus the up-sets of placed masks over [1, t], so each permutation of
+the colors above t fixes the state, and whether its subtree is exhausted
+depends on the state alone.  Only exhausted subtrees are recorded, never
+budget cut-offs, and the search order is unchanged, so certificates are
+identical with and without the memo.
 
 This module shares no code with branch-and-bound (`dsatur`) and imports
 neither it nor `solvers`: `solvers.k_colorable_via_sequences` checks the
@@ -51,17 +50,20 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
     clears every superset of m from the field of each right partner;
     an emptied field is a wipe-out, and what is left is the state at
     bi + 1.  Every field of a state is nonzero, so its bit length fixes
-    bi, and the failure memo keys a branch point by its state and the
-    first-use color count alone.  The key is sound because with forward
-    checking `entries` is read only to build the final certificate.  A
-    memo hit counts as a prune and costs no node.  Once the set's table
-    and its keys take _MEMO_BYTES by `getsizeof` the memo stops growing
-    but is still consulted.  The check precedes each insert, so the last
-    insert can overshoot the cap by one key and one doubling of the table.
+    bi, and the failure memo keys a branch point by that state alone:
+    a permutation of the colors above those in use fixes it, so any
+    good completion relabels into first-use order, and whether the
+    first-use search exhausts the subtree depends on the state alone.
+    With forward checking `entries` is read only to build the final
+    certificate.  A memo hit counts as a prune and costs no node.  Once
+    the set's table and its keys take _MEMO_BYTES by `getsizeof` the
+    memo stops growing but is still consulted.  The check precedes each
+    insert, so the last insert can overshoot the cap by one key and one
+    doubling of the table.
 
     Each branch index has one frame on an explicit stack, so the depth
-    is not bounded by the interpreter's recursion limit: its memo key,
-    its remaining candidate masks, the colors in use and its state.
+    is not bounded by the interpreter's recursion limit: its remaining
+    candidate masks, the colors in use and its state.
     Ints are immutable, so backtracking pops a frame and restores
     nothing.
     """
@@ -87,12 +89,11 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
     key_bytes = 0
     full = (1 << n_branch * n_masks) - 1
     # `used` is always a prefix [1, t] by the first-use canonicalization:
-    # a candidate may only bring in the next colors.  The root's key is the
-    # child key below with no color in use.
-    frames = [(full * (colors + 1), iter(masks_desc), 0, full)]
+    # a candidate may only bring in the next colors
+    frames = [(iter(masks_desc), 0, full)]
     while frames:
         bi = len(frames) - 1
-        key, cands, used, state = frames[-1]
+        cands, used, state = frames[-1]
         p, top = branch_positions[bi], shift[bi]
         for m in cands:
             if not clock.tick():
@@ -113,15 +114,14 @@ def search(pairs, n_points: int, colors: int, clock) -> tuple[str, tuple[int, ..
                 entries[p] = m
                 if bi + 1 == n_branch:
                     return "yes", tuple(entries[1:]), len(memo)
-                child = new * (colors + 1) + u.bit_length()
-                if child not in memo:
-                    frames.append((child, iter(masks_desc), u, new))
+                if new not in memo:
+                    frames.append((iter(masks_desc), u, new))
                     break  # descend; `cands` resumes here once the child is popped
             clock.prunes += 1  # a wipe-out or a memo hit
         else:
             # every candidate at bi failed: its subtree is exhausted
             if key_bytes + getsizeof(memo) < _MEMO_BYTES:
-                memo.add(key)
-                key_bytes += getsizeof(key)
+                memo.add(state)
+                key_bytes += getsizeof(state)
             frames.pop()
     return "no", None, len(memo)

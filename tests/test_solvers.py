@@ -262,19 +262,24 @@ def core_minus(n, pair):
 
 # the sequence engine's (decision, nodes, prunes, memo entries, certificate entries):
 # its search order and memo keys fix every count, so a change to how it keeps its
-# state must leave them all as they are
+# state must leave them all as they are.  The W(3) k=3, W(4) k=4 and shift graph
+# 17 rows were re-recorded when the memo came to be keyed by the state alone,
+# without the count of colors in use: a recurring state is then skipped whatever
+# colors brought it about, so those refutations take fewer nodes.  No decision
+# or certificate moved.
 ENGINE_COUNTS = [
     ("W(2)", lambda: critical_core(2), 2, None, ("no", 24, 19, 6, None)),
     ("W(2)", lambda: critical_core(2), 3, None, ("yes", 12, 7, 0, (7, 6, 5, 3, 6))),
-    ("W(3)", lambda: critical_core(3), 3, None, ("no", 552, 484, 69, None)),
+    ("W(3)", lambda: critical_core(3), 3, None, ("no", 528, 463, 66, None)),
     ("W(3)", lambda: critical_core(3), 4, None,
      ("yes", 38, 29, 0, (15, 14, 13, 11, 7, 12, 10, 9, 14))),
-    ("W(4)", lambda: critical_core(4), 4, None, ("no", 69_648, 65_296, 4_353, None)),
+    ("W(4)", lambda: critical_core(4), 4, None, ("no", 68_560, 64_276, 4_285, None)),
     ("W(4)", lambda: critical_core(4), 5, None,
      ("yes", 129, 112, 0, (31, 30, 29, 27, 23, 15, 28, 26, 25, 22, 21, 19, 14, 13, 28, 11, 30))),
     ("W(4) - (2,7)", lambda: core_minus(4, (2, 7)), 4, None,
      ("yes", 10_732, 10_052, 663, (15, 14, 13, 11, 7, 9, 14, 12, 10, 6, 5, 3, 8, 4, 2, 1, 14))),
-    ("shift graph 17", lambda: build_shift_graph(17), 4, None, ("no", 15_952, 14_956, 997, None)),
+    ("shift graph 9", lambda: build_shift_graph(9), 3, None, ("no", 416, 365, 52, None)),
+    ("shift graph 17", lambda: build_shift_graph(17), 4, None, ("no", 15_248, 14_296, 953, None)),
     ("W(5)", lambda: critical_core(5), 5, 300_000,
      ("inconclusive", 300_001, 290_613, 9_370, None)),
 ]
@@ -363,7 +368,7 @@ def test_memo_keeps_yes_certificate_and_cuts_nodes():
 
 
 def test_memo_at_cap_keeps_refuting():
-    # W(4) stores 4,353 keys; capped at the bytes of its first 3,000 and
+    # W(4) stores 4,285 keys; capped at the bytes of its first 3,000 and
     # of a set holding them, the engine makes those same inserts and no
     # more, and lookups go on
     core4 = critical_core(4)
@@ -375,7 +380,7 @@ def test_memo_at_cap_keeps_refuting():
     cap = sys.getsizeof(first) + sum(map(sys.getsizeof, first))
     capped, capped_keys = logged_memo_run(cap, core4, 4, budget)
     assert full.decision == capped.decision == "no"
-    assert full.memo_entries == len(full_keys) == 4353
+    assert full.memo_entries == len(full_keys) == 4285
     assert capped_keys == full_keys[:3000]
     assert capped.memo_entries == 3000
     assert full.nodes < capped.nodes
@@ -469,9 +474,8 @@ def test_engines_agree_with_brute_force(case, k):
 
 
 @st.composite
-def dense_instances(draw):
-    n_points = draw(st.integers(5, 12))
-    g = build_shift_graph(n_points)
+def dense_instances(draw, graphs=st.integers(5, 12).map(build_shift_graph)):
+    g = draw(graphs)
     everything = g.vertex_list()
     dropped = set(draw(st.lists(st.sampled_from(everything), unique=True,
                                 max_size=2 * len(everything) // 3)))
@@ -491,7 +495,8 @@ def test_adjacency_rows_are_the_neighbor_positions(case):
             assert sorted(adj[t]) == sorted(pos[w] for w in view.neighbors(v))
 
 
-@given(dense_instances(), st.integers(2, 4))
+@given(st.one_of(dense_instances(), dense_instances(st.just(critical_core(3)))),
+       st.integers(2, 4))
 @settings(max_examples=80)
 def test_memo_is_invisible_except_in_counts(case, k):
     g, verts = case
