@@ -1,11 +1,16 @@
 """Branch-and-bound coloring of a view: DSATUR over one adjacency built from its edges.
 
-A classical branch-and-bound vertex coloring with a greedy clique
-precoloring and the first-use color symmetry cap.  It colors DSATUR's
-most saturated vertex next (Brelaz 1979), over adjacency rows built from
-the view's edge_ids() under the query's time limit, and keeps each
-vertex's neighbor colors as one int bitset.  A view with more than
-_MAX_EDGES edges is answered "inconclusive" before any row is built.
+A classical branch-and-bound vertex coloring with the first-use color
+symmetry cap.  It colors DSATUR's most saturated vertex next (Brelaz
+1979), over adjacency rows built from the view's edge_ids() under the
+query's time limit, and keeps each vertex's neighbor colors as one int
+bitset.  A view with more than _MAX_EDGES edges is answered
+"inconclusive" before any row is built.
+
+It needs no clique precoloring: every view of a shift graph is
+triangle-free, so a greedy clique is one edge at most, and DSATUR's own
+first two picks are that edge (the vertex of largest degree, then its
+neighbor of largest degree), which the first-use cap colors 1 and 2.
 
 This module shares no code with the sequence engine (`seqsearch`) and
 imports neither it nor `solvers`, so the two engines' agreement is a
@@ -58,41 +63,29 @@ def _most_saturated(colors, seen, degree) -> int:
     return best
 
 
-def _greedy_clique(adj) -> list[int]:
-    """Positions by degree descending, then position; each kept when adjacent to all kept."""
-    clique: list[int] = []
-    common = set(range(len(adj)))  # the common neighbors of the clique so far
-    for t in sorted(range(len(adj)), key=lambda t: (-len(adj[t]), t)):
-        if t in common:
-            clique.append(t)
-            common.intersection_update(adj[t])
-    return clique
-
-
 def _dsatur(view, k: int, clock) -> tuple[str, list[int] | None]:
     """DSATUR branch and bound on a view: (decision, color of each position).
 
     A view with more than _MAX_EDGES edges is "inconclusive" at once.
-    The adjacency rows are built under the clock's time limit, and the
-    greedy clique takes colors 1, 2, ... (a clique larger than k
-    refutes at once).  Then each frame colors the most saturated vertex
-    with its least free color up to min(k, largest color in use + 1),
-    and on backtracking moves it to its next free color.  seen[t] has
-    bit c set when a neighbor of t has color c; a frame keeps the
-    (u, old seen[u]) pairs its assignment changed, to undo it.  The
-    colors are None unless the decision is "yes".  The clock has the
-    time.monotonic() deadline, counts nodes with tick(), False once its
-    budget is spent, and prunes in its `prunes` attribute.
+    The adjacency rows are built under the clock's time limit.  Then
+    each frame colors the most saturated vertex with its least free
+    color up to min(k, largest color in use + 1), and on backtracking
+    moves it to its next free color; the answer is "yes" once every
+    vertex has a frame.  seen[t] has bit c set when a neighbor of t has
+    color c; a frame keeps the (u, old seen[u]) pairs its assignment
+    changed, to undo it.  The colors are None unless the decision is
+    "yes".  The clock has the time.monotonic() deadline, counts nodes
+    with tick(), False once its budget is spent, and prunes in its
+    `prunes` attribute.
     """
     if view.edge_count() > _MAX_EDGES:
         return "inconclusive", None
     adj = _adjacency(view, clock.deadline)
     if adj is None:
         return "inconclusive", None
-    clique = _greedy_clique(adj)
-    if len(clique) > k:
-        return "no", None
     m = len(adj)
+    if m == 0:
+        return "yes", []
     colors = [0] * m
     seen = [0] * m
     degree = [len(a) for a in adj]
@@ -108,14 +101,9 @@ def _dsatur(view, k: int, clock) -> tuple[str, list[int] | None]:
                 trail.append((u, s))
         return trail
 
-    for rank, t in enumerate(clique):
-        assign(t, rank + 1)
-    max_used = len(clique)
-    uncolored = m - len(clique)
-    if uncolored == 0:
-        return "yes", colors
-    # frame: vertex, its color (0 before the first), max_used below it, its trail
-    frames = [[_most_saturated(colors, seen, degree), 0, max_used, ()]]
+    # frame: vertex, its color (0 before the first), max_used below it, its trail;
+    # every frame below the top holds one colored vertex
+    frames = [[_most_saturated(colors, seen, degree), 0, 0, ()]]
     while frames:
         frame = frames[-1]
         t, cur, max_used, trail = frame
@@ -123,7 +111,6 @@ def _dsatur(view, k: int, clock) -> tuple[str, list[int] | None]:
             colors[t] = 0
             for u, s in trail:
                 seen[u] = s
-            uncolored += 1
         # the colors in (cur, min(k, max_used + 1)] that no neighbor has
         free = ~(seen[t] | ((2 << cur) - 1)) & ((2 << min(k, max_used + 1)) - 1)
         if not free:
@@ -134,8 +121,7 @@ def _dsatur(view, k: int, clock) -> tuple[str, list[int] | None]:
             return "inconclusive", None
         c = (free & -free).bit_length() - 1
         frame[1], frame[3] = c, assign(t, c)
-        uncolored -= 1
-        if uncolored == 0:
+        if len(frames) == m:
             return "yes", colors
         frames.append([_most_saturated(colors, seen, degree), 0, max(max_used, c), ()])
     return "no", None

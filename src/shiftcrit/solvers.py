@@ -186,10 +186,10 @@ def k_colorable_via_sequences(view, k: int,
 def k_colorable_bb(view, k: int, budget: SearchBudget | None = None) -> ColorabilityResult:
     """Branch-and-bound proper coloring of a graph view with at most k colors.
 
-    DSATUR vertex selection, greedy-clique precoloring, and
-    new colors admitted only one past the maximum color in use.  Shares
-    no machinery with the sequence engine.  A view with more edges than
-    dsatur._MAX_EDGES is "inconclusive": its adjacency rows would not fit.
+    DSATUR vertex selection, with new colors admitted only one past the
+    maximum color in use.  Shares no machinery with the sequence engine.
+    A view with more edges than dsatur._MAX_EDGES is "inconclusive": its
+    adjacency rows would not fit.
     """
     view = as_view(view)
     require_int(k, "k", 0)

@@ -133,16 +133,17 @@ def _member_rows(report: TheoremReport, n: int, budget: SearchBudget,
                    status, ref, payload)
 
 
-def _refutation_row(r: ColorabilityResult,
-                    counterexample: bool = False) -> tuple[str, dict | None]:
+def _refutation_row(r: ColorabilityResult) -> tuple[str, dict | None]:
     """Status and certificate payload of a row that wants a "no" from a search.
 
     "no" passes with its refutation record; "yes" fails, carrying the
-    certificate sequence when `counterexample` is set; a budget cut-off
-    is inconclusive with its record of the counts reached so far.
+    certificate sequence when the search found one (the sequence engine
+    does, branch-and-bound does not); a budget cut-off is inconclusive
+    with its record of the counts reached so far.
     """
     if r.decision == "yes":
-        return "fail", sequence_to_dict(r.certificate_sequence) if counterexample else None
+        seq = r.certificate_sequence
+        return "fail", None if seq is None else sequence_to_dict(seq)
     return ("pass" if r.conclusive else "inconclusive"), r.refutation_record()
 
 
@@ -213,7 +214,7 @@ def _core_chromatic_rows(report: TheoremReport, n: int, budget: SearchBudget,
                "pass" if viol is None else "fail",
                "upper:descending-sequence", payload)
 
-    status, payload = _refutation_row(lower, counterexample=True)
+    status, payload = _refutation_row(lower)
     report.add(f"{prefix}no {n}-coloring of the core subgraph exists",
                "exhaustive search over good sequences",
                status, "lower:saturated-refutation", payload)

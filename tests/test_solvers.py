@@ -297,6 +297,51 @@ def test_sequence_engine_counts_are_pinned(make, k, max_nodes, expected):
         assert seq.n == k and is_good(seq, view)
 
 
+EDGELESS = build_shift_graph(4).induced([(1, 2), (1, 3), (1, 4)])
+
+# branch and bound's (decision, nodes, prunes, colors in vertex order).  Each
+# frame colors one vertex, from the first; the comments give the counts of the
+# search that precolored a greedy clique without a node.  Every view here is
+# triangle-free, so that clique was DSATUR's own first two picks, colored 1 and
+# 2: the decisions and colorings are that search's, and only the counts moved,
+# by one node per precolored vertex and, on a "no", one prune per bottom frame
+# popped.  At k = 0, and at k = 1 on a view with an edge, the clique refuted
+# at once (0 nodes, 0 prunes); the search takes at most one node and two prunes.
+BB_COUNTS = [
+    ("W(2)", lambda: critical_core(2), 1, ("no", 1, 2, None)),  # was 0, 0
+    ("W(2)", lambda: critical_core(2), 2, ("no", 4, 5, None)),  # was 2, 3
+    ("W(2)", lambda: critical_core(2), 3, ("yes", 5, 0, (1, 2, 2, 1, 3))),  # was 3, 0
+    ("W(3)", lambda: critical_core(3), 3, ("no", 89, 90, None)),  # was 87, 88
+    ("W(3)", lambda: critical_core(3), 4,  # was 17, 0
+     ("yes", 19, 0, (2, 3, 1, 3, 1, 1, 2, 1, 2, 3, 2, 2, 1, 1, 1, 2, 2, 3, 4))),
+    ("shift graph 9", lambda: build_shift_graph(9), 3, ("no", 94, 95, None)),  # was 92, 93
+    ("shift graph 9", lambda: build_shift_graph(9), 4,  # was 34, 0
+     ("yes", 36, 0, (1, 2, 1, 2, 1, 2, 1, 1, 2, 3, 2, 2, 2, 2, 2, 1, 3, 1, 3, 1, 1, 2, 2, 2, 2,
+      2, 1, 4, 1, 1, 3, 4, 3, 1, 1, 3))),
+    ("W(4) - (2,7)", lambda: core_minus(4, (2, 7)), 4,  # was 36_120, 36_036
+     ("yes", 36_122, 36_036, (1, 2, 3, 4, 3, 2, 4, 2, 3, 4, 3, 1, 4, 1, 3, 4, 4, 1, 2, 1, 2, 1,
+      1, 1, 1, 3, 1, 2, 1, 2, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2, 4, 2, 2, 3, 2, 3, 1, 3, 1,
+      1, 1, 1, 1, 3, 2, 2, 3, 2, 3, 2, 2, 1, 1, 1, 1, 1, 4, 3, 4, 3, 3, 3, 2, 4, 2, 2, 3, 3, 3,
+      2, 2, 4, 1))),
+    ("shift graph 4", lambda: build_shift_graph(4), 0, ("no", 0, 1, None)),  # was 0, 0
+    ("shift graph 4", lambda: build_shift_graph(4), 1, ("no", 1, 2, None)),  # was 0, 0
+    ("shift graph 4", lambda: build_shift_graph(4), 2,  # was 4, 0
+     ("yes", 6, 0, (1, 2, 1, 2, 2, 1))),
+    ("edgeless 3", lambda: EDGELESS, 0, ("no", 0, 1, None)),  # was 0, 0
+    ("edgeless 3", lambda: EDGELESS, 1, ("yes", 3, 0, (1, 1, 1))),  # was 2, 0
+]
+
+
+@pytest.mark.parametrize("make, k, expected", [c[1:] for c in BB_COUNTS],
+                         ids=[f"{c[0]} k={c[2]}" for c in BB_COUNTS])
+def test_bb_counts_are_pinned(make, k, expected):
+    view = make()
+    r = k_colorable_bb(view, k, TIGHT)
+    col = r.certificate_coloring
+    got = col and tuple(c for _, c in sorted(col.colors.items()))
+    assert (r.decision, r.nodes, r.prunes, got) == expected
+
+
 def test_search_deeper_than_the_recursion_limit_leaves_it_alone(monkeypatch):
     depth = 1200
     assert depth > sys.getrecursionlimit()

@@ -8,6 +8,7 @@ from shiftcrit import (
     SearchBudget,
     critical_core,
     k_colorable_via_sequences,
+    sequence_to_dict,
     verify_chromatic_formula,
     verify_core_chromatic,
     verify_criticality,
@@ -128,7 +129,7 @@ def test_formula_upper_rows():
 
 
 def test_formula_starved_rows_are_inconclusive():
-    rep = verify_chromatic_formula(5, SearchBudget(max_nodes=1))
+    rep = verify_chromatic_formula(5, SearchBudget(max_nodes=3))
     assert rep.status == "inconclusive"
     statuses = {c.claim: c.status for c in rep.checks}
     assert statuses == {
@@ -171,11 +172,12 @@ def test_refutation_rows_for_each_search_outcome():
     cut = k_colorable_via_sequences(critical_core(3), 3, STARVED)
     assert cut.decision == "inconclusive"
     assert _refutation_row(cut) == ("inconclusive", cut.refutation_record())
-    yes = ColorabilityResult("yes", 1, "sequence", 2, 0,
-                             certificate_sequence=SubsetSequence((1, 0), 1))
-    assert _refutation_row(yes) == ("fail", None)
-    status, payload = _refutation_row(yes, counterexample=True)
-    assert status == "fail" and payload is not None
+    # a "yes" row carries the counterexample sequence when the engine found one
+    seq = SubsetSequence((1, 0), 1)
+    yes = ColorabilityResult("yes", 1, "sequence", 2, 0, certificate_sequence=seq)
+    assert _refutation_row(yes) == ("fail", sequence_to_dict(seq))
+    yes_bb = ColorabilityResult("yes", 1, "bb", 2, 0)
+    assert _refutation_row(yes_bb) == ("fail", None)
 
 
 def test_serializing_a_report_copies_no_row():
