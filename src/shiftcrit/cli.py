@@ -5,9 +5,8 @@ chi (exact chromatic number with certificates), verify (run a
 verification pipeline), diagram (render the core as SVG).
 
 Exit codes: 0 success or pass, 1 verification failure, 2 usage or I/O
-error, 3 inconclusive within budget or out of memory.
-SHIFTCRIT_MAX_SECONDS overrides the default time budget; explicit flags
-beat the environment.
+error, 3 inconclusive within budget or out of memory.  The search
+budget is set by --max-nodes and --max-seconds alone.
 
 Every output is streamed to stdout or to its --out file chunk by chunk,
 and an --out file appears only once it is complete.
@@ -17,9 +16,11 @@ At import, this module loads only the standard library, `errors` and
 the verify pipelines and the SVG renderer load when a command first
 needs one of their names, through `_need`, so `core 3` or `gen 9` never
 loads a solver and `chi` never loads the exports.  No command loads
-anything outside the standard library.  Commands look those
-names up as globals of this module at call time: a function set here
-with setattr, before or after the first command, is the one they call.
+anything outside the standard library.  Every public name of the
+package is a name of this module too, bound on first use.  Commands look
+those names up as globals of this module at call time: a function set
+here with setattr, before or after the first command, is the one they
+call.
 """
 from __future__ import annotations
 
@@ -31,19 +32,9 @@ import os
 import stat
 import sys
 
+from . import _SOURCE
 from .errors import InvalidParameterError, InvalidVertexError
 from .graphs import build_shift_graph, critical_core
-
-# the names a command imports on first use (see _need); the package knows
-# the submodule of each.  graph_to_json_dict and to_dimacs are called by no
-# command: they are names of this module for callers that look them up
-# here, such as the benchmark's tracer, which wraps them
-_LAZY = frozenset({
-    "render_svg", "SearchBudget", "chromatic_number",
-    "core_json_chunks", "dimacs_chunks", "graph_json_chunks", "graph_to_json_dict",
-    "to_dimacs", "verify_chromatic_formula", "verify_core_chromatic",
-    "verify_criticality", "verify_uniqueness",
-})
 
 
 def _need(*names: str) -> None:
@@ -60,7 +51,7 @@ def _need(*names: str) -> None:
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _need(name)
     return globals()[name]
@@ -79,21 +70,8 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 def _budget(args) -> SearchBudget:
     _need("SearchBudget")
-    seconds = args.max_seconds
-    if seconds is None:
-        env = os.environ.get("SHIFTCRIT_MAX_SECONDS")
-        if env is not None:
-            try:
-                seconds = float(env)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"SHIFTCRIT_MAX_SECONDS must be a number, got {env!r}")
-    kwargs = {}
-    if args.max_nodes is not None:
-        kwargs["max_nodes"] = args.max_nodes
-    if seconds is not None:
-        kwargs["max_seconds"] = seconds
-    return SearchBudget(**kwargs)
+    flags = {"max_nodes": args.max_nodes, "max_seconds": args.max_seconds}
+    return SearchBudget(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_chunks(chunks, out: str | None) -> None:

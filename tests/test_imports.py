@@ -130,6 +130,13 @@ def test_unknown_name_raises_the_standard_attribute_error():
         shiftcrit.cli.nope
 
 
+def test_cli_binds_every_public_name_from_the_package():
+    # cli keeps no list of its own: the package's table names what it binds lazily
+    for name in shiftcrit.__all__:
+        assert getattr(shiftcrit.cli, name) is getattr(shiftcrit, name), name
+    # any other name: test_unknown_name_raises_the_standard_attribute_error
+
+
 # the benchmark tracer's pattern: setattr a wrapper on shiftcrit.cli before any
 # command has run, and rely on the commands looking the name up at call time
 WRAPPED_BEFORE_FIRST_COMMAND = """
@@ -269,6 +276,36 @@ def test_integer_check_finder_flags_each_form():
                                         if p.name != "errors.py"), ids=lambda p: p.stem)
 def test_only_errors_checks_integers(path):
     assert integer_checks(path.read_text(encoding="utf-8")) == []
+
+
+# the budget has one setter, the command-line flags: no module reads the
+# environment, so no variable can change a result behind them
+def environment_reads(source: str) -> list[int]:
+    """Lines that read os.environ, os.environb or os.getenv, or import one of them."""
+    names = {"environ", "environb", "getenv"}
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in names and getattr(node.value, "id", None) == "os"
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(a.name in names for a in node.names)
+        else:
+            hit = False
+        if hit:
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_environment_read_finder_flags_each_form():
+    source = ("import os\nfrom os import getenv, path\nos.environ.get('A')\n"
+              "os.environb[b'A']\nos.getenv('A')\nos.path.join('a')\nenviron = {}\n")
+    assert environment_reads(source) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "shiftcrit").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 # the two engines share no search code (ROADMAP): each kernel module imports

@@ -146,6 +146,16 @@ def test_core_chromatic_numbers():
     assert chromatic_number(critical_core(3), TIGHT).chi == 4
 
 
+def test_one_conclusive_engine_decides_a_query():
+    # bb cannot refute W(4) at k = 4 in 100,000 nodes, so chi 5 rests on
+    # the sequence engine's record alone
+    res = chromatic_number(critical_core(4), SearchBudget(max_nodes=100_000))
+    assert res.conclusive and res.chi == 5
+    assert res.refutation == {"k": 4, "nodes": 68_560, "prunes": 64_276, "conclusive": True}
+    at_4 = {q["engine"]: q["decision"] for q in res.queries if q["k"] == 4}
+    assert at_4 == {"sequence": "no", "bb": "inconclusive"}
+
+
 def test_deleting_core_vertex_drops_chi():
     core = critical_core(2)
     g = core.graph()
@@ -540,11 +550,23 @@ def test_adjacency_rows_are_the_neighbor_positions(case):
             assert sorted(adj[t]) == sorted(pos[w] for w in view.neighbors(v))
 
 
-@given(st.one_of(dense_instances(), dense_instances(st.just(critical_core(3)))),
-       st.integers(2, 4))
+@st.composite
+def core_deletions(draw, core=critical_core(3)):
+    """W(3) minus one or two vertices: 3-colorable, and for some the search backtracks first."""
+    everything = core.vertex_list()
+    dropped = set(draw(st.lists(st.sampled_from(everything), unique=True,
+                                min_size=1, max_size=2)))
+    return core, [v for v in everything if v not in dropped]
+
+
+# a memo key that skips a sibling subtree still in play shows only on a
+# "yes" found after a backtrack, as on some deletions from W(3) at k = 3
+@given(st.one_of(st.tuples(st.one_of(dense_instances(), dense_instances(st.just(critical_core(3)))),
+                           st.integers(2, 4)),
+                 st.tuples(core_deletions(), st.just(3))))
 @settings(max_examples=80)
-def test_memo_is_invisible_except_in_counts(case, k):
-    g, verts = case
+def test_memo_is_invisible_except_in_counts(query):
+    (g, verts), k = query
     sub = g.induced(verts)
     with_memo = k_colorable_via_sequences(sub, k, TIGHT)
     without = capped_memo_run(0, sub, k, TIGHT)
